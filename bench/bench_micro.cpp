@@ -341,8 +341,9 @@ BENCHMARK(BM_NatTranslateBurst)->Unit(benchmark::kMillisecond);
 // A full barrier-epoch cycle of the sharded metro day: builds a small
 // 4-PoP world once per iteration and runs one compressed day at the given
 // worker count. items = barrier epochs, so the per-epoch cost (min-clock
-// scan, fan-out, join, crossing drain) is the number to watch — it is the
-// serial fraction that bounds shard scaling.
+// scan, generation bump to the persistent workers, arrival wait, crossing
+// drain) is the number to watch — it is the serial fraction that bounds
+// shard scaling.
 void BM_BarrierEpoch(benchmark::State& state) {
   psim::DayConfig cfg;
   cfg.homes = 2'000;

@@ -219,8 +219,8 @@ ctest --test-dir build-tsan --output-on-failure --timeout 480
 # scenario too.
 ./build-tsan/bench/sweeper --scenario directory --seeds 1-4 --jobs 4 \
   > /dev/null
-# Sharded metro day under TSan: four worker threads exchanging packets
-# through the SPSC rings and blocking on the barrier epochs — the
+# Sharded metro day under TSan: four workers exchanging packets
+# through the SPSC rings and waiting at the barrier epochs — the
 # acquire/release fences in psim::SpscRing and the epoch barrier are the
 # exact surface this lane exists for. The TCP day (E21, also inside
 # bench_psim) adds full TCP/MPTCP endpoint state on each worker thread:
@@ -231,3 +231,8 @@ ctest --test-dir build-tsan --output-on-failure --timeout 480
 # spins up a 2-worker sharded engine with live TCP timers inside it.
 ./build-tsan/bench/sweeper --scenario psim_tcp --seeds 42-43 --jobs 2 \
   > /dev/null
+# Engine hand-off under TSan, many times over: the persistent workers'
+# spin, park and wake paths, engine teardown with parked workers, and the
+# TCP day at 1/2/4 workers, repeated so each path runs thousands of epochs.
+./build-tsan/tests/test_psim --gtest_repeat=20 \
+  --gtest_filter='PsimEngine.*:PsimTcpDay.*' > /dev/null

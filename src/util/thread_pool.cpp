@@ -2,10 +2,10 @@
 
 namespace hpop::util {
 
-ThreadPool::ThreadPool(std::size_t threads) : pinned_(threads) {
+ThreadPool::ThreadPool(std::size_t threads) {
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -31,43 +31,20 @@ void ThreadPool::submit(std::function<void()> task) {
   work_ready_.notify_one();
 }
 
-void ThreadPool::submit_pinned(std::size_t worker, std::function<void()> task) {
-  if (workers_.empty()) {
-    task();  // serial mode: run inline
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pinned_[worker % workers_.size()].push_back(std::move(task));
-    ++in_flight_;
-  }
-  // Pinned work can only run on one thread, but waking everyone keeps the
-  // wake logic trivial; idle workers go straight back to sleep.
-  work_ready_.notify_all();
-}
-
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_ready_.wait(lock, [this, index] {
-        return stopping_ || !queue_.empty() || !pinned_[index].empty();
-      });
-      if (!pinned_[index].empty()) {
-        task = std::move(pinned_[index].front());
-        pinned_[index].pop_front();
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      } else {
-        return;  // stopping_ and nothing left for this worker
-      }
+      work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping_ and nothing left to run
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     task();
     {

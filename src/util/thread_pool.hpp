@@ -26,27 +26,18 @@ class ThreadPool {
 
   void submit(std::function<void()> task);
 
-  /// Runs `task` on worker `worker % thread_count()` — and only there.
-  /// The parallel simulation engine pins every shard to one worker for
-  /// the engine's lifetime, so state a shard binds lazily to its servicing
-  /// thread (thread_local telemetry registries, packet pools) is touched
-  /// by exactly one thread between barriers. In inline mode (threads == 0)
-  /// the task runs on the caller, like submit().
-  void submit_pinned(std::size_t worker, std::function<void()> task);
-
   /// Blocks until every submitted task has finished running.
   void wait_idle();
 
   std::size_t thread_count() const { return workers_.size(); }
 
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop();
 
   std::mutex mu_;
   std::condition_variable work_ready_;
   std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
-  std::vector<std::deque<std::function<void()>>> pinned_;  // one per worker
   std::size_t in_flight_ = 0;  // queued + currently executing
   bool stopping_ = false;
   std::vector<std::thread> workers_;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "metro/partition.hpp"
@@ -162,6 +165,160 @@ TEST_F(BoundaryFifoTest, TieBreakFollowsRegistrationNotSenderId) {
   EXPECT_EQ(seen[0].at, seen[1].at);
   EXPECT_EQ(seen[0].src_port, 2222);  // c's crossing registered first
   EXPECT_EQ(seen[1].src_port, 1111);
+}
+
+// --- The engine on its own, no metro ---
+
+/// (arrival time, packet id, hops left) for one delivery.
+using Delivery = std::tuple<util::TimePoint, std::uint16_t, std::uint16_t>;
+
+constexpr std::uint16_t kTrain = 20;  // packets each host launches
+constexpr std::uint16_t kHops = 6;    // forwards per packet after launch
+constexpr std::size_t kDeliveries = 3 * kTrain * (kHops + 1);
+
+/// Three hosts, one per partition, on a triangle of boundary links. Each
+/// host launches a train of packets at the next host; every receiver sends
+/// a packet on until its hop budget (carried in dst_port) runs out, to the
+/// next host on an even budget and back to the previous one on an odd
+/// budget, so both directions of every link carry traffic. run_until is
+/// called in several steps, one of them repeated and several landing
+/// mid-flight. Returns each partition's deliveries, in the order that
+/// partition saw them.
+std::vector<std::vector<Delivery>> run_triangle(std::size_t workers) {
+  constexpr util::Duration ms = util::kMillisecond;
+  psim::Engine::Config ec;
+  ec.workers = workers;
+  ec.lookahead = 2 * ms;
+  psim::Engine eng(ec);
+  for (int i = 0; i < 3; ++i) eng.add_partition();  // partition i: host i
+
+  // Declared after the engine so the network (whose links may still hold
+  // pooled packets) is destroyed first.
+  sim::Simulator build_sim;
+  util::Rng rng(5);
+  net::Network net(build_sim, rng.fork());
+  std::vector<net::Host*> hosts;
+  for (int i = 0; i < 3; ++i) {
+    hosts.push_back(&net.add_host("h" + std::to_string(i),
+                                  net::IpAddr(10, 0, 0, 1 + i)));
+  }
+  std::vector<net::Link*> links;  // links[i]: host i -> host (i + 1) % 3
+  for (int i = 0; i < 3; ++i) {
+    net::LinkParams lp;
+    lp.rate = 100 * util::kMbps;
+    lp.delay = (2 + i) * ms;  // 2, 3 and 4 ms, all >= the lookahead
+    links.push_back(&net.connect(*hosts[i], *hosts[(i + 1) % 3], lp));
+  }
+  net.auto_route();
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::size_t next = (i + 1) % 3;
+    eng.bind_boundary(links[i], 0, i, next);
+    eng.bind_boundary(links[i], 1, next, i);
+  }
+
+  auto send = [&eng, &hosts](std::size_t from, std::uint16_t id,
+                             std::uint16_t hops) {
+    const std::size_t to = hops % 2 == 0 ? (from + 1) % 3 : (from + 2) % 3;
+    net::PooledPacket q = eng.pool(from).acquire();
+    q->src = hosts[from]->address();
+    q->dst = hosts[to]->address();
+    q->proto = net::Proto::kUdp;
+    q->udp.src_port = id;
+    q->udp.dst_port = hops;
+    q->payload_len = 200 + 100 * hops;
+    hosts[from]->send_packet(std::move(q));
+  };
+  std::vector<std::vector<Delivery>> trace(3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    hosts[i]->set_transport_handler(
+        [&eng, &trace, &send, i](net::PooledPacket pkt, net::Interface&) {
+          const std::uint16_t id = pkt->udp.src_port;
+          const std::uint16_t hops = pkt->udp.dst_port;
+          trace[i].emplace_back(eng.sim(i).now(), id, hops);
+          if (hops > 0) send(i, id, static_cast<std::uint16_t>(hops - 1));
+        });
+    for (std::uint16_t k = 0; k < kTrain; ++k) {
+      const auto id = static_cast<std::uint16_t>(1000 * (i + 1) + k);
+      eng.sim(i).schedule_at(k * 700 * util::kMicrosecond,
+                             [&send, i, id] { send(i, id, kHops); });
+    }
+  }
+  for (const util::TimePoint h :
+       {5 * ms, 17 * ms, 17 * ms, 41 * ms, 200 * ms}) {
+    eng.run_until(h);
+  }
+  EXPECT_EQ(eng.stats().crossings, kDeliveries);
+  return trace;
+}
+
+TEST(PsimEngine, DeliveryTraceIdenticalAcrossWorkerCounts) {
+  const std::vector<std::vector<Delivery>> ref = run_triangle(1);
+  std::size_t deliveries = 0;
+  for (const auto& t : ref) deliveries += t.size();
+  EXPECT_EQ(deliveries, kDeliveries);
+  // 0 runs inline like 1; 8 leaves workers 3..7 with no partition at all.
+  for (const std::size_t w : {0, 2, 3, 8}) {
+    EXPECT_EQ(run_triangle(w), ref) << "workers=" << w;
+  }
+}
+
+TEST(PsimEngine, DestroysIdleAndParkedEngines) {
+  psim::Engine::Config ec;
+  ec.workers = 4;
+  ec.lookahead = util::kMillisecond;
+  { psim::Engine never_ran(ec); }
+
+  psim::Engine eng(ec);
+  struct Tick {
+    sim::Simulator* sim;
+    void operator()() const { sim->schedule(util::kMillisecond, Tick{sim}); }
+  };
+  for (int i = 0; i < 6; ++i) {
+    const std::size_t p = eng.add_partition();
+    eng.sim(p).schedule_at(0, Tick{&eng.sim(p)});
+  }
+  eng.run_until(20 * util::kMillisecond);
+  EXPECT_GT(eng.stats().epochs, 10u);
+  // Outlast the spin window so every worker is parked when the engine is
+  // destroyed; the destructor must wake and join them.
+  std::this_thread::sleep_for(20 * psim::Engine::kSpinWindow);
+}
+
+TEST(PsimEngine, EventExceptionRethrownOnCaller) {
+  psim::Engine::Config ec;
+  ec.workers = 2;
+  ec.lookahead = util::kMillisecond;
+  psim::Engine eng(ec);
+  eng.add_partition();
+  eng.add_partition();  // runs on worker 1, not the caller
+  eng.sim(1).schedule_at(3 * util::kMillisecond,
+                         [] { throw std::runtime_error("event in shard 1"); });
+  EXPECT_THROW(eng.run_until(10 * util::kMillisecond), std::runtime_error);
+}
+
+TEST(PsimEngineDeathTest, NonPositiveLookaheadAborts) {
+  psim::Engine::Config ec;
+  ec.workers = 2;
+  ec.lookahead = 0;
+  EXPECT_DEATH(psim::Engine eng(ec), "lookahead 0 ns must be > 0");
+}
+
+TEST(PsimEngineDeathTest, BoundaryDelayBelowLookaheadAborts) {
+  sim::Simulator build_sim;
+  util::Rng rng(3);
+  net::Network net(build_sim, rng.fork());
+  net::Host& a = net.add_host("a", net::IpAddr(10, 0, 0, 1));
+  net::Host& b = net.add_host("b", net::IpAddr(10, 0, 0, 2));
+  net::LinkParams lp;
+  lp.delay = util::kMillisecond;
+  net::Link& ab = net.connect(a, b, lp);
+  psim::Engine::Config ec;
+  ec.lookahead = 2 * util::kMillisecond;
+  psim::Engine eng(ec);
+  eng.add_partition();
+  eng.add_partition();
+  EXPECT_DEATH(eng.bind_boundary(&ab, 1, 1, 0),
+               "boundary 1->0 delay 1000000 ns < lookahead 2000000 ns");
 }
 
 // --- Worker-count invariance + chaos in non-zero shards ---

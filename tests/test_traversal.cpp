@@ -242,6 +242,10 @@ struct ReachCase {
   const char* label;
 };
 
+// Names each case by its label. gtest's default printer dumps the raw bytes,
+// padding included, so the generated test names would change from run to run.
+void PrintTo(const ReachCase& c, std::ostream* os) { *os << c.label; }
+
 class ReachabilitySweep : public ::testing::TestWithParam<ReachCase> {};
 
 TEST_P(ReachabilitySweep, PicksExpectedMethod) {
