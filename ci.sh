@@ -6,6 +6,20 @@
 # specifically exercises the parallel sweep runner's locking.
 set -e
 
+# same_stdout LABEL CMD CMD...: runs each command and fails unless every
+# one prints the first one's stdout byte for byte. The outputs stay in
+# /tmp/LABEL.0, /tmp/LABEL.1, ... for the greps and cats that follow.
+same_stdout() {
+  label=$1
+  shift
+  n=0
+  for cmd in "$@"; do
+    eval "$cmd" > "/tmp/$label.$n"
+    [ "$n" -eq 0 ] || diff "/tmp/$label.0" "/tmp/$label.$n"
+    n=$((n + 1))
+  done
+}
+
 cmake -B build -S .
 cmake --build build -j
 # --timeout: no single test may wedge the suite (overload/chaos scenarios
@@ -17,45 +31,34 @@ ctest --test-dir build --output-on-failure --timeout 120
 # report across two separate processes.
 ./build/tests/test_chaos \
   --gtest_filter='ChaosScenario.SameSeedChaosRunsAreByteIdentical'
-./build/bench/bench_chaos_recovery > /tmp/chaos_run_a.txt
-./build/bench/bench_chaos_recovery > /tmp/chaos_run_b.txt
-diff /tmp/chaos_run_a.txt /tmp/chaos_run_b.txt
+same_stdout chaos_run ./build/bench/bench_chaos_recovery \
+  ./build/bench/bench_chaos_recovery
 
 # Overload gate (E14, smoke scale): admission control must beat the
 # admission-off baseline (the bench exits non-zero when its verdicts fail),
 # and two same-seed runs must print byte-identical reports.
 ./build/tests/test_overload \
   --gtest_filter='OverloadChaos.SameSeedFlashCrowdRunsAreByteIdentical'
-./build/bench/bench_flash_crowd --smoke > /tmp/flash_run_a.txt
-./build/bench/bench_flash_crowd --smoke > /tmp/flash_run_b.txt
-diff /tmp/flash_run_a.txt /tmp/flash_run_b.txt
-cat /tmp/flash_run_a.txt
+same_stdout flash_run './build/bench/bench_flash_crowd --smoke' \
+  './build/bench/bench_flash_crowd --smoke'
+cat /tmp/flash_run.0
 
 # Rearm-path determinism: the TCP ramp-up bench exercises the persistent
 # RTO/delayed-ACK timers that now rearm in place (Simulator::reschedule);
 # two same-seed runs must print byte-identical reports.
-./build/bench/bench_tcp_rampup > /tmp/rampup_run_a.txt
-./build/bench/bench_tcp_rampup > /tmp/rampup_run_b.txt
-diff /tmp/rampup_run_a.txt /tmp/rampup_run_b.txt
+same_stdout rampup_run ./build/bench/bench_tcp_rampup \
+  ./build/bench/bench_tcp_rampup
 
 # Parallel-sweep determinism gate (E16): the sweeper's stdout must be
 # byte-identical for any --jobs value — one Simulator per seed, results
 # merged in seed order, nothing shared between workers.
-./build/bench/sweeper --scenario chaos --seeds 1-8 --jobs 1 \
-  > /tmp/sweep_chaos_serial.txt
-./build/bench/sweeper --scenario chaos --seeds 1-8 --jobs 4 \
-  > /tmp/sweep_chaos_parallel.txt
-diff /tmp/sweep_chaos_serial.txt /tmp/sweep_chaos_parallel.txt
-./build/bench/sweeper --scenario flash --seeds 1-4 --jobs 1 \
-  > /tmp/sweep_flash_serial.txt
-./build/bench/sweeper --scenario flash --seeds 1-4 --jobs 4 \
-  > /tmp/sweep_flash_parallel.txt
-diff /tmp/sweep_flash_serial.txt /tmp/sweep_flash_parallel.txt
-./build/bench/sweeper --scenario metro --seeds 1-4 --jobs 1 \
-  > /tmp/sweep_metro_serial.txt
-./build/bench/sweeper --scenario metro --seeds 1-4 --jobs 4 \
-  > /tmp/sweep_metro_parallel.txt
-diff /tmp/sweep_metro_serial.txt /tmp/sweep_metro_parallel.txt
+sweep=./build/bench/sweeper
+same_stdout sweep_chaos "$sweep --scenario chaos --seeds 1-8 --jobs 1" \
+  "$sweep --scenario chaos --seeds 1-8 --jobs 4"
+same_stdout sweep_flash "$sweep --scenario flash --seeds 1-4 --jobs 1" \
+  "$sweep --scenario flash --seeds 1-4 --jobs 4"
+same_stdout sweep_metro "$sweep --scenario metro --seeds 1-4 --jobs 1" \
+  "$sweep --scenario metro --seeds 1-4 --jobs 4"
 
 # Recovery-determinism gate (E18): the durable chaos scenario — node
 # crashes plus torn-write/partial-flush faults against the WAL-backed
@@ -64,26 +67,17 @@ diff /tmp/sweep_metro_serial.txt /tmp/sweep_metro_parallel.txt
 # diffs state fingerprints and telemetry), and across processes (the
 # sweeper's durable scenario diffed serial-vs-parallel and run-vs-rerun).
 ./build/tests/test_durable --gtest_filter='DurableChaos.*'
-./build/bench/sweeper --scenario durable --seeds 1-8 --jobs 1 \
-  > /tmp/sweep_durable_serial.txt
-./build/bench/sweeper --scenario durable --seeds 1-8 --jobs 4 \
-  > /tmp/sweep_durable_parallel.txt
-diff /tmp/sweep_durable_serial.txt /tmp/sweep_durable_parallel.txt
-./build/bench/sweeper --scenario durable --seeds 1-8 --jobs 1 \
-  > /tmp/sweep_durable_rerun.txt
-diff /tmp/sweep_durable_serial.txt /tmp/sweep_durable_rerun.txt
+same_stdout sweep_durable "$sweep --scenario durable --seeds 1-8 --jobs 1" \
+  "$sweep --scenario durable --seeds 1-8 --jobs 4" \
+  "$sweep --scenario durable --seeds 1-8 --jobs 1"
 
 # Directory-cluster determinism gate (E19): the sharded directory day —
 # lease churn, a shard crash, and a network partition — must be
 # jobs-invariant in the sweeper and byte-identical run to rerun.
-./build/bench/sweeper --scenario directory --seeds 1-4 --jobs 1 \
-  > /tmp/sweep_directory_serial.txt
-./build/bench/sweeper --scenario directory --seeds 1-4 --jobs 4 \
-  > /tmp/sweep_directory_parallel.txt
-diff /tmp/sweep_directory_serial.txt /tmp/sweep_directory_parallel.txt
-./build/bench/sweeper --scenario directory --seeds 1-4 --jobs 1 \
-  > /tmp/sweep_directory_rerun.txt
-diff /tmp/sweep_directory_serial.txt /tmp/sweep_directory_rerun.txt
+same_stdout sweep_directory \
+  "$sweep --scenario directory --seeds 1-4 --jobs 1" \
+  "$sweep --scenario directory --seeds 1-4 --jobs 4" \
+  "$sweep --scenario directory --seeds 1-4 --jobs 1"
 
 # Sharded-parallel determinism gate (E20 + E21): the psim metro day must
 # print byte-identical telemetry for any worker count — conservative
@@ -94,59 +88,48 @@ diff /tmp/sweep_directory_serial.txt /tmp/sweep_directory_rerun.txt
 # serial-vs-sharded in-process; the diff below additionally pins the
 # 1-worker and 4-worker processes to the same stdout for BOTH days, and
 # the sweeper checks each engine nested inside sweep worker threads.
-./build/bench/bench_psim --smoke --workers 1 > /tmp/psim_run_1w.txt
-./build/bench/bench_psim --smoke --workers 4 > /tmp/psim_run_4w.txt
-diff /tmp/psim_run_1w.txt /tmp/psim_run_4w.txt
-grep -q '^# E21:' /tmp/psim_run_4w.txt  # the TCP day is in the diffed output
-cat /tmp/psim_run_4w.txt
-./build/bench/sweeper --scenario psim --seeds 42-45 --jobs 1 \
-  > /tmp/sweep_psim_serial.txt
-./build/bench/sweeper --scenario psim --seeds 42-45 --jobs 2 \
-  > /tmp/sweep_psim_parallel.txt
-diff /tmp/sweep_psim_serial.txt /tmp/sweep_psim_parallel.txt
-./build/bench/sweeper --scenario psim_tcp --seeds 42-45 --jobs 1 \
-  > /tmp/sweep_psim_tcp_serial.txt
-./build/bench/sweeper --scenario psim_tcp --seeds 42-45 --jobs 4 \
-  > /tmp/sweep_psim_tcp_parallel.txt
-diff /tmp/sweep_psim_tcp_serial.txt /tmp/sweep_psim_tcp_parallel.txt
+same_stdout psim_run './build/bench/bench_psim --smoke --workers 1' \
+  './build/bench/bench_psim --smoke --workers 4'
+grep -q '^# E21:' /tmp/psim_run.1  # the TCP day is in the diffed output
+cat /tmp/psim_run.1
+same_stdout sweep_psim "$sweep --scenario psim --seeds 42-45 --jobs 1" \
+  "$sweep --scenario psim --seeds 42-45 --jobs 2"
+same_stdout sweep_psim_tcp "$sweep --scenario psim_tcp --seeds 42-45 --jobs 1" \
+  "$sweep --scenario psim_tcp --seeds 42-45 --jobs 4"
 
 # Durability gate (E18, smoke scale): bench_durability self-gates on WAL
 # replay rebuilding byte-identical state, snapshot compaction bounding
 # recovery to the post-snapshot tail, and the incremental-backup session
 # shipping < 10% of the whole-object bytes for a 1%-churn day. Two runs
 # must print byte-identical reports.
-./build/bench/bench_durability --smoke > /tmp/durability_run_a.txt
-./build/bench/bench_durability --smoke > /tmp/durability_run_b.txt
-diff /tmp/durability_run_a.txt /tmp/durability_run_b.txt
-cat /tmp/durability_run_a.txt
+same_stdout durability_run './build/bench/bench_durability --smoke' \
+  './build/bench/bench_durability --smoke'
+cat /tmp/durability_run.0
 
 # Directory gate (E19, smoke scale): bench_directory self-gates on lookup
 # availability (>= 99%), bounded p99, zero acked-registration loss, no
 # stale advert served past lease expiry, anti-entropy catch-up after the
 # crash, and the chaos schedule actually firing; two same-seed runs must
 # print byte-identical reports.
-./build/bench/bench_directory --smoke > /tmp/directory_run_a.txt
-./build/bench/bench_directory --smoke > /tmp/directory_run_b.txt
-diff /tmp/directory_run_a.txt /tmp/directory_run_b.txt
-cat /tmp/directory_run_a.txt
+same_stdout directory_run './build/bench/bench_directory --smoke' \
+  './build/bench/bench_directory --smoke'
+cat /tmp/directory_run.0
 
 # Metro smoke gate (E17): build a 10k-home metro, run the short diurnal
 # slice twice, and diff the telemetry — the generator, workload draws, and
 # driver stats must be byte-identical run to run. The bench also self-gates
 # on the bytes-per-home budget and the cross-PoP routing slice.
-./build/bench/bench_metro --smoke > /tmp/metro_run_a.txt
-./build/bench/bench_metro --smoke > /tmp/metro_run_b.txt
-diff /tmp/metro_run_a.txt /tmp/metro_run_b.txt
-cat /tmp/metro_run_a.txt
+same_stdout metro_run './build/bench/bench_metro --smoke' \
+  './build/bench/bench_metro --smoke'
+cat /tmp/metro_run.0
 
 # Hot-path perf gate (E15, smoke scale): bench_core compares the event
 # engine against an in-process replica of the pre-overhaul scheduler and
 # exits non-zero unless the engine holds a >= 2x events/sec lead, every
 # workload delivers in full, the data plane stays within its allocation
-# budgets (packet hop <= 1 alloc/pkt, TCP bulk <= 3 allocs/segment), and
-# the sweep-scaling section is byte-identical (plus >= 3x faster where 8
-# hardware threads exist). The TCP bulk budget is now <= 1 alloc/segment
-# (RangeMap node recycling), and the parallel TCP metro section must be
+# budgets (packet hop <= 1 alloc/pkt, TCP bulk <= 1 alloc/segment), the
+# sweep-scaling section is byte-identical (plus >= 3x faster where 8
+# hardware threads exist), and the parallel TCP metro section is
 # byte-identical across 1/2/4 workers. The committed BENCH_CORE.json
 # baseline must also have been produced by a passing run.
 ./build/bench/bench_core --smoke --out /tmp/BENCH_CORE.json
@@ -181,31 +164,26 @@ cmake --build build-asan -j
 # detect_leaks=0: the transport layer keeps connections alive through
 # shared_ptr callback cycles (a known seed-era pattern), which LSan reports
 # at exit. Memory-error and UB detection — the point of this lane — stay on.
-ASAN_OPTIONS=detect_leaks=0 ctest --test-dir build-asan --output-on-failure \
-  --timeout 240
+export ASAN_OPTIONS=detect_leaks=0
+ctest --test-dir build-asan --output-on-failure --timeout 240
 # Metro under ASan: a 1000-home build plus the smoke diurnal day, checking
 # for memory errors at scale. --no-gate because redzones inflate the
 # bytes-per-home numbers the plain lane gates on.
-ASAN_OPTIONS=detect_leaks=0 \
-  ./build-asan/bench/bench_metro --homes 1000 --smoke --no-gate \
-  > /dev/null
+./build-asan/bench/bench_metro --homes 1000 --smoke --no-gate > /dev/null
 # Durability under ASan: WAL encode/scan/truncate and the device's torn
 # prefix arithmetic are exactly the byte-twiddling ASan is for.
-ASAN_OPTIONS=detect_leaks=0 \
-  ./build-asan/bench/bench_durability --smoke > /dev/null
+./build-asan/bench/bench_durability --smoke > /dev/null
 # Directory under ASan: shard crash + partition teardown is where dangling
 # connection/mux references would live (a crash destroys the shard's
 # TransportMux while peers still hold connections into it).
-ASAN_OPTIONS=detect_leaks=0 \
-  ./build-asan/bench/bench_directory --smoke > /dev/null
+./build-asan/bench/bench_directory --smoke > /dev/null
 # Sharded engine under ASan: cross-shard packets detach from one shard's
 # pool and re-enter another's, and link queues can still hold pooled
 # packets at the horizon — teardown ordering bugs here are exactly what
 # ASan catches (and has caught). bench_psim also runs the TCP day (E21):
 # per-home muxes are destroyed while shard simulators still hold armed
 # RTO/delayed-ACK timers, and SACK CowVec bodies re-home across pools.
-ASAN_OPTIONS=detect_leaks=0 \
-  ./build-asan/bench/bench_psim --smoke --workers 4 > /dev/null
+./build-asan/bench/bench_psim --smoke --workers 4 > /dev/null
 
 # TSan lane: the whole tier-1 suite once under ThreadSanitizer. The
 # simulator itself is single-threaded; this lane guards the thread_local

@@ -18,7 +18,7 @@ while [ $# -gt 0 ]; do
   esac
 done
 
-cmake -B build -G Ninja
+cmake -B build -S .
 cmake --build build
 ctest --test-dir build
 for b in build/bench/*; do

@@ -1,6 +1,7 @@
 #include "attic/health.hpp"
 
 #include "attic/store.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::attic {
@@ -186,36 +187,19 @@ bool HealthProviderSystem::restore_state(const util::Bytes& payload) {
 }
 
 std::uint64_t HealthProviderSystem::fingerprint() const {
-  constexpr std::uint64_t kOffset = 1469598103934665603ull;
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = kOffset;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * i));
-      h *= kPrime;
-    }
-  };
-  auto mix_str = [&](const std::string& s) {
-    mix(s.size());
-    for (const char c : s) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= kPrime;
-    }
-  };
-  mix(next_pending_id_);
-  mix(pending_.size());
+  util::Fnv1a fnv{util::Fnv1a::kLegacyBasis};
+  fnv.u64(next_pending_id_);
+  fnv.u64(pending_.size());
   for (const auto& [id, pw] : pending_) {
-    mix(id);
-    mix_str(pw.patient);
-    mix_str(pw.path);
-    mix(static_cast<std::uint64_t>(pw.started));
-    mix(pw.content.size());
-    for (const std::uint8_t b : pw.content.digest()) {
-      h ^= b;
-      h *= kPrime;
-    }
+    fnv.u64(id);
+    fnv.str(pw.patient);
+    fnv.str(pw.path);
+    fnv.u64(static_cast<std::uint64_t>(pw.started));
+    fnv.u64(pw.content.size());
+    const util::Digest d = pw.content.digest();
+    fnv.bytes(d.data(), d.size());
   }
-  return h;
+  return fnv.h;
 }
 
 std::vector<HealthRecord> HealthProviderSystem::local_records(

@@ -6,37 +6,6 @@
 
 namespace hpop::attic {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-struct Fnv {
-  std::uint64_t h = kFnvOffset;
-  void mix_byte(std::uint8_t b) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void mix(std::string_view s) {
-    mix(s.size());
-    for (const char c : s) mix_byte(static_cast<std::uint8_t>(c));
-  }
-  void mix_body(const http::Body& b) {
-    if (b.is_real()) {
-      mix(b.size());
-      for (const std::uint8_t byte : b.bytes()) mix_byte(byte);
-    } else {
-      mix(b.size());
-      mix(b.tag());
-    }
-  }
-};
-
-}  // namespace
-
 void encode_body(durable::PayloadWriter& w, const http::Body& body) {
   if (body.is_real()) {
     w.put_u8(0);
@@ -336,19 +305,25 @@ bool AtticStore::parse_snapshot(const util::Bytes& payload) {
 }
 
 std::uint64_t AtticStore::fingerprint() const {
-  Fnv fnv;
-  fnv.mix(etag_counter_);
-  fnv.mix(used_);
-  fnv.mix(dirs_.size());
-  for (const std::string& d : dirs_) fnv.mix(d);
-  fnv.mix(files_.size());
+  util::Fnv1a fnv{util::Fnv1a::kLegacyBasis};
+  fnv.u64(etag_counter_);
+  fnv.u64(used_);
+  fnv.u64(dirs_.size());
+  for (const std::string& d : dirs_) fnv.str(d);
+  fnv.u64(files_.size());
   for (const auto& [path, entry] : files_) {
-    fnv.mix(path);
-    fnv.mix(entry.versions.size());
+    fnv.str(path);
+    fnv.u64(entry.versions.size());
     for (const FileVersion& v : entry.versions) {
-      fnv.mix(v.etag);
-      fnv.mix(static_cast<std::uint64_t>(v.modified));
-      fnv.mix_body(v.content);
+      fnv.str(v.etag);
+      fnv.u64(static_cast<std::uint64_t>(v.modified));
+      const http::Body& b = v.content;
+      fnv.u64(b.size());
+      if (b.is_real()) {
+        fnv.bytes(b.bytes().data(), b.bytes().size());
+      } else {
+        fnv.u64(b.tag());
+      }
     }
   }
   return fnv.h;

@@ -1,37 +1,22 @@
 #include "durable/wal.hpp"
 
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::durable {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* data,
-                    std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 std::uint64_t record_crc(std::uint8_t type, std::uint64_t epoch,
                          std::uint32_t len, const std::uint8_t* payload) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a(h, &type, 1);
-  std::uint8_t scalar[12];
-  for (int i = 0; i < 8; ++i) {
-    scalar[i] = static_cast<std::uint8_t>(epoch >> (8 * i));
-  }
+  util::Fnv1a f{util::Fnv1a::kLegacyBasis};
+  f.byte(type);
+  f.u64(epoch);
   for (int i = 0; i < 4; ++i) {
-    scalar[8 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    f.byte(static_cast<std::uint8_t>(len >> (8 * i)));
   }
-  h = fnv1a(h, scalar, sizeof scalar);
-  h = fnv1a(h, payload, len);
-  return h;
+  f.bytes(payload, len);
+  return f.h;
 }
 
 void put_le(util::Bytes& out, std::uint64_t v, int bytes) {

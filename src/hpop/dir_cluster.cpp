@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::core {
@@ -13,15 +14,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace
@@ -50,7 +42,9 @@ void HashRing::replicas(std::string_view household, std::size_t r,
   // FNV-1a alone has weak high-bit avalanche on short keys: sequential
   // household names ("home-0", "home-1", ...) land on neighbouring ring
   // points and pile onto a couple of shards. The finalizer scatters them.
-  const std::uint64_t h = splitmix64(fnv1a(household));
+  util::Fnv1a key{util::Fnv1a::kLegacyBasis};
+  key.bytes(household.data(), household.size());
+  const std::uint64_t h = splitmix64(key.h);
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const auto& p, std::uint64_t v) { return p.first < v; });
@@ -77,7 +71,7 @@ std::uint32_t HashRing::primary(std::string_view household) const {
 }
 
 std::uint64_t HashRing::fingerprint() const {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = util::Fnv1a::kLegacyBasis;
   for (const auto& [point, shard] : ring_) {
     h = splitmix64(h ^ point ^ shard);
   }
@@ -608,7 +602,7 @@ std::size_t DirectoryCluster::total_registered() const {
 }
 
 std::uint64_t DirectoryCluster::fingerprint() const {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = util::Fnv1a::kLegacyBasis;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const std::uint64_t fp =
         slots_[i].shard ? slots_[i].shard->fingerprint() : 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::core {
@@ -280,29 +281,17 @@ bool DirectoryServer::restore_state(const util::Bytes& payload) {
 }
 
 std::uint64_t DirectoryServer::fingerprint() const {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * i));
-      h *= kPrime;
-    }
-  };
+  util::Fnv1a fnv{util::Fnv1a::kLegacyBasis};
   for (const auto& [household, reg] : households_) {
-    const std::string_view name = household.str();
-    mix(name.size());
-    for (const char c : name) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= kPrime;
-    }
-    mix(static_cast<std::uint64_t>(reg.advertisement.method));
-    mix(reg.advertisement.endpoint.ip.value);
-    mix(reg.advertisement.endpoint.port);
-    mix(reg.advertisement.rendezvous_required ? 1 : 0);
-    mix(reg.version);
-    mix(static_cast<std::uint64_t>(reg.expires_at));
+    fnv.str(household.str());
+    fnv.u64(static_cast<std::uint64_t>(reg.advertisement.method));
+    fnv.u64(reg.advertisement.endpoint.ip.value);
+    fnv.u64(reg.advertisement.endpoint.port);
+    fnv.u64(reg.advertisement.rendezvous_required ? 1 : 0);
+    fnv.u64(reg.version);
+    fnv.u64(static_cast<std::uint64_t>(reg.expires_at));
   }
-  return h;
+  return fnv.h;
 }
 
 void DirectoryServer::enable_admission(overload::AdmissionConfig config) {

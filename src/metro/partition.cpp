@@ -2,37 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <limits>
+
+#include "util/hash.hpp"
 
 namespace hpop::metro {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-template <typename T>
-std::uint64_t fnv_value(std::uint64_t h, const T& v) {
-  return fnv1a(h, &v, sizeof(v));
-}
-
-std::uint64_t hash_link_params(std::uint64_t h, const net::Link* link) {
+void hash_link_params(util::Fnv1a& fnv, const net::Link* link) {
   const net::LinkParams& lp = link->params();
-  h = fnv_value(h, lp.rate);
-  h = fnv_value(h, lp.delay);
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(lp.loss));
-  std::memcpy(&bits, &lp.loss, sizeof(bits));
-  h = fnv_value(h, bits);
-  h = fnv_value(h, static_cast<std::uint64_t>(lp.queue_bytes));
-  return h;
+  fnv.f64(lp.rate);
+  fnv.u64(static_cast<std::uint64_t>(lp.delay));
+  fnv.f64(lp.loss);
+  fnv.u64(lp.queue_bytes);
 }
 
 }  // namespace
@@ -51,22 +34,24 @@ ShardPlan plan_shards(const MetroTopology& topo) {
 
   plan.fingerprints.resize(plan.partitions);
   for (std::size_t p = 0; p < pops; ++p) {
-    std::uint64_t h = 14695981039346656037ull;
-    h = fnv_value(h, static_cast<std::uint64_t>(p));
+    util::Fnv1a fnv;
+    fnv.u64(p);
     const auto [first, last] = topo.homes_of_pop(p);
-    h = fnv_value(h, static_cast<std::uint64_t>(first));
-    h = fnv_value(h, static_cast<std::uint64_t>(last));
+    fnv.u64(first);
+    fnv.u64(last);
     for (std::size_t hh = first; hh < last; ++hh) {
-      h = fnv_value(h, topo.home_address(hh).value);
+      // The address's four bytes only, in host order.
+      const std::uint32_t addr = topo.home_address(hh).value;
+      fnv.bytes(&addr, sizeof addr);
     }
-    h = hash_link_params(h, topo.pop_uplinks[p]);
-    plan.fingerprints[p] = h;
+    hash_link_params(fnv, topo.pop_uplinks[p]);
+    plan.fingerprints[p] = fnv.h;
   }
-  std::uint64_t h = 14695981039346656037ull;
-  h = fnv_value(h, static_cast<std::uint64_t>(plan.core_partition));
-  h = fnv_value(h, static_cast<std::uint64_t>(topo.origins.size()));
-  for (const net::Link* ol : topo.origin_links) h = hash_link_params(h, ol);
-  plan.fingerprints[plan.core_partition] = h;
+  util::Fnv1a fnv;
+  fnv.u64(plan.core_partition);
+  fnv.u64(topo.origins.size());
+  for (const net::Link* ol : topo.origin_links) hash_link_params(fnv, ol);
+  plan.fingerprints[plan.core_partition] = fnv.h;
   return plan;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "util/hash.hpp"
+
 namespace hpop::metro {
 
 namespace {
@@ -23,22 +25,6 @@ int prefix_bits(std::uint32_t block) {
   }
   return bits;
 }
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_double(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof d);
-    __builtin_memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  }
-};
 
 }  // namespace
 
@@ -87,27 +73,27 @@ net::Prefix MetroTopology::pop_prefix(std::size_t p) const {
 }
 
 std::uint64_t MetroTopology::fingerprint() const {
-  Fnv fnv;
-  fnv.mix(homes.size());
-  fnv.mix(dslams.size());
-  fnv.mix(pops.size());
-  fnv.mix(origins.size());
-  fnv.mix(metro_base.value);
-  fnv.mix(dslam_block);
-  fnv.mix(pop_block);
+  util::Fnv1a fnv{util::Fnv1a::kLegacyBasis};
+  fnv.u64(homes.size());
+  fnv.u64(dslams.size());
+  fnv.u64(pops.size());
+  fnv.u64(origins.size());
+  fnv.u64(metro_base.value);
+  fnv.u64(dslam_block);
+  fnv.u64(pop_block);
   for (std::size_t h = 0; h < homes.size(); ++h) {
-    fnv.mix(homes[h]->address().value);
+    fnv.u64(homes[h]->address().value);
   }
   auto mix_link = [&fnv](const net::Link* l) {
-    fnv.mix_double(l->params().rate);
-    fnv.mix(static_cast<std::uint64_t>(l->params().delay));
-    fnv.mix(l->params().queue_bytes);
+    fnv.f64(l->params().rate);
+    fnv.u64(static_cast<std::uint64_t>(l->params().delay));
+    fnv.u64(l->params().queue_bytes);
   };
   for (const net::Link* l : access_links) mix_link(l);
   for (const net::Link* l : dslam_uplinks) mix_link(l);
   for (const net::Link* l : pop_uplinks) mix_link(l);
   for (const net::Link* l : origin_links) mix_link(l);
-  for (const net::Host* o : origins) fnv.mix(o->address().value);
+  for (const net::Host* o : origins) fnv.u64(o->address().value);
   return fnv.h;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/hash.hpp"
+
 namespace hpop::metro {
 
 namespace {
@@ -15,21 +17,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
 }
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_double(double d) {
-    std::uint64_t bits;
-    __builtin_memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  }
-};
 
 }  // namespace
 
@@ -222,17 +209,17 @@ double EventPlan::max_crowd_intensity() const {
 }
 
 std::uint64_t EventPlan::fingerprint() const {
-  Fnv fnv;
-  fnv.mix(events.size());
+  util::Fnv1a fnv{util::Fnv1a::kLegacyBasis};
+  fnv.u64(events.size());
   for (const EventSpec& e : events) {
-    fnv.mix(static_cast<std::uint64_t>(e.kind));
-    fnv.mix(static_cast<std::uint64_t>(e.scope));
-    fnv.mix(e.target);
-    fnv.mix(static_cast<std::uint64_t>(e.start));
-    fnv.mix(static_cast<std::uint64_t>(e.duration));
-    fnv.mix_double(e.intensity);
-    fnv.mix(e.hot_object);
-    fnv.mix_double(e.hot_fraction);
+    fnv.u64(static_cast<std::uint64_t>(e.kind));
+    fnv.u64(static_cast<std::uint64_t>(e.scope));
+    fnv.u64(e.target);
+    fnv.u64(static_cast<std::uint64_t>(e.start));
+    fnv.u64(static_cast<std::uint64_t>(e.duration));
+    fnv.f64(e.intensity);
+    fnv.u64(e.hot_object);
+    fnv.f64(e.hot_fraction);
   }
   return fnv.h;
 }

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/encoding.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::nocdn {
@@ -245,21 +246,18 @@ bool PeerProxy::restore_state(const util::Bytes& payload) {
 }
 
 std::uint64_t PeerProxy::fingerprint() const {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix_str = [&h](std::string_view s) {
-    h ^= s.size();
-    h *= kPrime;
-    for (const char c : s) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= kPrime;
-    }
+  util::Fnv1a fnv{util::Fnv1a::kLegacyBasis};
+  auto mix_str = [&fnv](std::string_view s) {
+    // The length goes in as one whole word, not byte by byte as
+    // Fnv1a::str would mix it.
+    fnv.h = (fnv.h ^ s.size()) * util::Fnv1a::kPrime;
+    fnv.bytes(s.data(), s.size());
   };
   for (const auto& [provider, records] : pending_usage_) {
     mix_str(provider.str());
     for (const UsageRecord& r : records) mix_str(serialize_usage_line(r));
   }
-  return h;
+  return fnv.h;
 }
 
 std::size_t PeerProxy::pending_usage_count() const {

@@ -12,7 +12,9 @@ namespace hpop::psim {
 /// residential diurnal curve and flash crowds; origins answer each request
 /// with a train of 1200-byte chunks). Transport stays packet-level on
 /// purpose: every per-home state is owned by the home's shard, so the day
-/// parallelizes without sharing anything but the boundary rings.
+/// parallelizes without sharing anything but the boundary rings. The same
+/// day over TCP/MPTCP is run_tcp_day (psim/tcp_day.hpp), which takes this
+/// config plus one field.
 struct DayConfig {
   std::size_t homes = 10'000;
   std::size_t workers = 1;
@@ -31,16 +33,14 @@ struct DayConfig {
   bool chaos = true;
 };
 
-struct DayResult {
+/// What every sharded day returns, whatever carries its requests.
+struct ShardedDayResult {
   /// Deterministic multi-line report: byte-identical for a fixed (config
   /// minus workers) across any worker count.
   std::string report;
   double wall_s = 0;
 
-  std::uint64_t requests = 0;
-  std::uint64_t chunks = 0;  // response packets sent by origins
-  std::uint64_t rx_pkts = 0;
-  std::uint64_t rx_bytes = 0;
+  std::uint64_t rx_bytes = 0;  // response bytes received by homes
   std::uint64_t events = 0;
   std::uint64_t epochs = 0;
   std::uint64_t crossings = 0;
@@ -48,6 +48,12 @@ struct DayResult {
   std::uint64_t chaos_crashes = 0;
   std::uint64_t chaos_restarts = 0;
   std::uint64_t partition_drops = 0;
+};
+
+struct DayResult : ShardedDayResult {
+  std::uint64_t requests = 0;
+  std::uint64_t chunks = 0;  // response packets sent by origins
+  std::uint64_t rx_pkts = 0;
 };
 
 DayResult run_day(const DayConfig& cfg);

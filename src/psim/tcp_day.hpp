@@ -1,67 +1,38 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "util/time.hpp"
+#include "psim/day.hpp"
 
 namespace hpop::psim {
 
-/// A sharded metro day over real transport: build_metro + plan_shards +
-/// Engine, with per-home TCP (and a deterministic slice of MPTCP)
-/// request/response transfers instead of the raw UDP trains of run_day.
-/// Every piece of endpoint state — cwnd, SACK scoreboard, RTO timers,
-/// reassembly maps — lives in the connection objects of a TransportMux
-/// bound to the home's shard, so nothing but fully-serialized packets ever
-/// crosses a shard boundary. The conservative-lookahead barrier bounds
-/// those packets by the pop-uplink delay exactly as in the UDP day, which
-/// is why the report stays byte-identical for any worker count.
-struct TcpDayConfig {
-  std::size_t homes = 10'000;
-  std::size_t workers = 1;
-  std::uint64_t seed = 42;
-  /// Compressed day length (diurnal shape scaled into it).
-  util::Duration day = 20 * util::kSecond;
-  /// Requests/sec per home at diurnal multiplier 1.0.
-  double base_rate_per_home = 0.05;
-  std::size_t catalog_objects = 2'000;
-  double zipf_skew = 0.9;
-  std::size_t flash_crowds = 2;
-  std::size_t ring_slots = 4'096;
-  int burst_limit = 8;
+/// A sharded metro day over real transport: the day of run_day, with
+/// per-home TCP (and a deterministic slice of MPTCP) request/response
+/// transfers instead of raw UDP trains. Every piece of endpoint state —
+/// cwnd, SACK scoreboard, RTO timers, reassembly maps — lives in the
+/// connection objects of a TransportMux bound to the home's shard, so
+/// nothing but fully-serialized packets ever crosses a shard boundary.
+/// The conservative-lookahead barrier bounds those packets by the
+/// pop-uplink delay exactly as in the UDP day, which is why the report
+/// stays byte-identical for any worker count. Both chaos faults land
+/// mid-transfer, so recovery exercises RTO backoff and SACK
+/// retransmission across the sharded run.
+struct TcpDayConfig : DayConfig {
   /// Every Nth home fetches over MPTCP with one extra subflow (0 disables).
   /// The slice is a function of the home index alone, so it is identical
   /// across worker counts.
   std::size_t mptcp_every = 16;
-  /// Adds a DSLAM crash in PoP 1's shard and a partition cut inside PoP
-  /// 2's shard (skipped when the topology has fewer than 3 PoPs). Both
-  /// faults land mid-transfer, so recovery exercises RTO backoff and SACK
-  /// retransmission across the sharded run.
-  bool chaos = true;
 };
 
-struct TcpDayResult {
-  /// Deterministic multi-line report: byte-identical for a fixed (config
-  /// minus workers) across any worker count.
-  std::string report;
-  double wall_s = 0;
-
+struct TcpDayResult : ShardedDayResult {
   std::uint64_t conns = 0;      // connections initiated by homes
   std::uint64_t completed = 0;  // closed cleanly with the full response
   std::uint64_t failed = 0;     // reset / timed out
   std::uint64_t mptcp_sessions = 0;
-  std::uint64_t rx_bytes = 0;  // contiguous stream bytes received by homes
   std::uint64_t origin_served = 0;    // requests answered by the origin
   std::uint64_t origin_tx_bytes = 0;  // response bytes queued by the origin
   std::uint64_t retransmits = 0;
   std::uint64_t timeouts = 0;
-  std::uint64_t events = 0;
-  std::uint64_t epochs = 0;
-  std::uint64_t crossings = 0;
-  std::uint64_t spilled = 0;
-  std::uint64_t chaos_crashes = 0;
-  std::uint64_t chaos_restarts = 0;
-  std::uint64_t partition_drops = 0;
 };
 
 TcpDayResult run_tcp_day(const TcpDayConfig& cfg);

@@ -21,6 +21,7 @@
 #include "psim/day.hpp"
 #include "psim/tcp_day.hpp"
 #include "transport/mux.hpp"
+#include "util/hash.hpp"
 #include "util/retry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -476,11 +477,8 @@ std::string run_psim(std::uint64_t seed) {
   cfg.base_rate_per_home = 0.2;
   const psim::DayResult r = psim::run_day(cfg);
 
-  std::uint64_t fp = 14695981039346656037ull;  // FNV-1a over the report
-  for (const char c : r.report) {
-    fp ^= static_cast<unsigned char>(c);
-    fp *= 1099511628211ull;
-  }
+  const std::uint64_t fp =
+      util::Fnv1a{}.bytes(r.report.data(), r.report.size()).h;
 
   char line[256];
   std::snprintf(line, sizeof line,
@@ -515,11 +513,8 @@ std::string run_psim_tcp(std::uint64_t seed) {
   cfg.base_rate_per_home = 0.2;
   const psim::TcpDayResult r = psim::run_tcp_day(cfg);
 
-  std::uint64_t fp = 14695981039346656037ull;  // FNV-1a over the report
-  for (const char c : r.report) {
-    fp ^= static_cast<unsigned char>(c);
-    fp *= 1099511628211ull;
-  }
+  const std::uint64_t fp =
+      util::Fnv1a{}.bytes(r.report.data(), r.report.size()).h;
 
   char line[256];
   std::snprintf(line, sizeof line,

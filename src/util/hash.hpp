@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -52,5 +53,44 @@ Digest hmac_sha256(const Bytes& key, std::string_view message);
 bool digest_equal(const Digest& a, const Digest& b);
 
 std::string digest_hex(const Digest& d);
+
+/// FNV-1a, 64-bit: the one non-cryptographic hash behind the repo's state
+/// fingerprints, WAL record checksums and directory ring keys. Not for
+/// anything an adversary chooses.
+struct Fnv1a {
+  static constexpr std::uint64_t kPrime = 1099511628211ull;
+  static constexpr std::uint64_t kBasis = 14695981039346656037ull;
+  /// kBasis with its last decimal digit dropped (0x14650fb0739d0383). The
+  /// WAL and attic checksums, the directory, health-provider and NoCDN
+  /// fingerprints, the metro topology and workload fingerprints and the
+  /// directory ring keys start from it. Changing it would move every
+  /// household's HashRing::replicas placement, and with it the directory
+  /// behaviour of the NoCDN metro day.
+  static constexpr std::uint64_t kLegacyBasis = 1469598103934665603ull;
+
+  std::uint64_t h = kBasis;
+
+  Fnv1a& byte(std::uint8_t b) {
+    h = (h ^ b) * kPrime;
+    return *this;
+  }
+  Fnv1a& bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < n; ++i) byte(p[i]);
+    return *this;
+  }
+  /// v's eight bytes, least significant first.
+  Fnv1a& u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  /// s's length as a u64, then its bytes.
+  Fnv1a& str(std::string_view s) {
+    u64(s.size());
+    return bytes(s.data(), s.size());
+  }
+  /// The IEEE-754 bits of d, as a u64.
+  Fnv1a& f64(double d) { return u64(std::bit_cast<std::uint64_t>(d)); }
+};
 
 }  // namespace hpop::util

@@ -323,13 +323,14 @@ TEST(PsimEngineDeathTest, BoundaryDelayBelowLookaheadAborts) {
 
 // --- Worker-count invariance + chaos in non-zero shards ---
 
-psim::DayConfig small_day(std::size_t workers) {
+psim::DayConfig small_day(std::size_t workers, bool chaos = true) {
   psim::DayConfig cfg;
   cfg.homes = 2'000;  // 63 dslams -> 4 pops -> 5 partitions
   cfg.workers = workers;
   cfg.seed = 42;
   cfg.day = 5 * util::kSecond;
   cfg.base_rate_per_home = 0.2;
+  cfg.chaos = chaos;
   return cfg;
 }
 
@@ -373,15 +374,28 @@ TEST(PsimDay, RingOverflowSpillsWithoutReordering) {
   EXPECT_EQ(rb.crossings, rt.crossings);
 }
 
+TEST(PsimDay, ChaosOffScriptsNoFaultsAndStaysWorkerInvariant) {
+  psim::DayResult w1 = psim::run_day(small_day(1, /*chaos=*/false));
+  psim::DayResult w2 = psim::run_day(small_day(2, /*chaos=*/false));
+  EXPECT_EQ(w1.chaos_crashes, 0u);
+  EXPECT_EQ(w1.chaos_restarts, 0u);
+  EXPECT_EQ(w1.partition_drops, 0u);
+  EXPECT_GT(w1.rx_bytes, 0u);
+  EXPECT_EQ(w1.report, w2.report);
+}
+
 // --- TCP day: cross-shard transport ---
 
-psim::TcpDayConfig small_tcp_day(std::size_t workers) {
+psim::TcpDayConfig small_tcp_day(std::size_t workers, bool chaos = true,
+                                 std::size_t mptcp_every = 16) {
   psim::TcpDayConfig cfg;
   cfg.homes = 2'000;  // 63 dslams -> 4 pops -> 5 partitions
   cfg.workers = workers;
   cfg.seed = 42;
   cfg.day = 5 * util::kSecond;
   cfg.base_rate_per_home = 0.2;
+  cfg.chaos = chaos;
+  cfg.mptcp_every = mptcp_every;
   return cfg;
 }
 
@@ -416,6 +430,24 @@ TEST(PsimTcpDay, ServesRequestsEndToEnd) {
   EXPECT_LE(r.completed, r.origin_served);
   EXPECT_LE(r.rx_bytes, r.origin_tx_bytes);
   EXPECT_GT(r.rx_bytes, r.origin_tx_bytes / 2);
+}
+
+TEST(PsimTcpDay, ChaosOffScriptsNoFaultsAndStaysWorkerInvariant) {
+  psim::TcpDayResult w1 = psim::run_tcp_day(small_tcp_day(1, /*chaos=*/false));
+  psim::TcpDayResult w2 = psim::run_tcp_day(small_tcp_day(2, /*chaos=*/false));
+  EXPECT_EQ(w1.chaos_crashes, 0u);
+  EXPECT_EQ(w1.chaos_restarts, 0u);
+  EXPECT_EQ(w1.partition_drops, 0u);
+  EXPECT_GT(w1.completed, 0u);
+  EXPECT_EQ(w1.report, w2.report);
+}
+
+TEST(PsimTcpDay, MptcpSliceOffServesOverPlainTcpOnly) {
+  psim::TcpDayResult r = psim::run_tcp_day(
+      small_tcp_day(2, /*chaos=*/true, /*mptcp_every=*/0));
+  EXPECT_EQ(r.mptcp_sessions, 0u);
+  EXPECT_GT(r.completed, 0u);
+  EXPECT_LE(r.origin_served + r.failed, r.conns);
 }
 
 TEST(PsimTcpDay, RingOverflowSpillsWithoutReordering) {

@@ -87,6 +87,26 @@ TEST(DigestEqual, DetectsDifference) {
   EXPECT_FALSE(digest_equal(a, b));
 }
 
+// ---------------------------------------------------------------- FNV-1a
+
+TEST(Fnv1a, ReferenceVectors) {
+  auto of = [](std::string_view s) {
+    return Fnv1a{}.bytes(s.data(), s.size()).h;
+  };
+  EXPECT_EQ(of(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(of("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(of("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(Fnv1a, WordsStringsAndDoublesAreTheirBytes) {
+  const std::uint8_t le[8] = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
+  EXPECT_EQ(Fnv1a{}.u64(0x0102030405060708ull).h, Fnv1a{}.bytes(le, 8).h);
+  EXPECT_EQ(Fnv1a{}.str("foobar").h,
+            Fnv1a{}.u64(6).bytes("foobar", 6).h);
+  EXPECT_EQ(Fnv1a{}.f64(1.5).h, Fnv1a{}.u64(0x3ff8000000000000ull).h);
+  EXPECT_EQ(Fnv1a{Fnv1a::kLegacyBasis}.h, 0x14650fb0739d0383ull);
+}
+
 // ---------------------------------------------------------------- Encoding
 
 TEST(Hex, RoundTrip) {
