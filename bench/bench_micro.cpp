@@ -9,7 +9,6 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "psim/day.hpp"
-#include "psim/spsc_ring.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transport/mux.hpp"
 #include "transport/payloads.hpp"
@@ -246,23 +245,6 @@ void BM_SimulatedTcpTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedTcpTransfer)->Arg(1)->Arg(8)->Unit(
     benchmark::kMillisecond);
-
-// The psim cross-shard ring: one push + one pop per item, single thread —
-// the pure cost of the acquire/release fences and the pow2 index masks,
-// with no contention. This is the per-crossing overhead a boundary packet
-// pays on top of its normal delivery.
-void BM_SpscRingPushPop(benchmark::State& state) {
-  psim::SpscRing<std::uint64_t> ring(1024);
-  std::uint64_t i = 0;
-  std::uint64_t out = 0;
-  for (auto _ : state) {
-    ring.try_push(i++);
-    ring.try_pop(out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 // NAT idle-timeout sweep: N distinct inside flows create N mappings, then
 // the periodic sweep evicts them all once the timeout lapses. With the

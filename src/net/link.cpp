@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "net/node.hpp"
 #include "telemetry/trace.hpp"
@@ -23,7 +25,7 @@ Link::Link(sim::Simulator& sim, Interface& a, Interface& b, LinkParams params,
 }
 
 Link::Metrics& Link::metrics(Direction& dir) {
-  if (!dir.m.bound) {
+  if (dir.m.pkts == nullptr) {
     auto& reg = telemetry::registry();
     dir.m.pkts = reg.counter("link.tx_pkts");
     dir.m.bytes = reg.counter("link.tx_bytes");
@@ -31,16 +33,19 @@ Link::Metrics& Link::metrics(Direction& dir) {
     dir.m.loss_drops = reg.counter("link.loss_drops");
     dir.m.admin_drops = reg.counter("link.admin_drops");
     dir.m.queued_bytes = reg.gauge("link.queued_bytes");
-    dir.m.bound = true;
   }
   return dir.m;
 }
 
 void Link::prune_claimed(Direction& dir, util::TimePoint now) {
-  if (dir.claimed == nullptr) return;
-  while (!dir.claimed->empty() && dir.claimed->front().start <= now) {
-    dir.claimed_bytes -= dir.claimed->front().bytes;
-    dir.claimed->pop_front();
+  while (dir.claimed_head < dir.claimed.size() &&
+         dir.claimed[dir.claimed_head].start <= now) {
+    dir.claimed_bytes -= dir.claimed[dir.claimed_head].bytes;
+    ++dir.claimed_head;
+  }
+  if (dir.claimed_head == dir.claimed.size()) {
+    dir.claimed.clear();
+    dir.claimed_head = 0;
   }
 }
 
@@ -73,7 +78,21 @@ void Link::set_rate(util::BitRate rate) {
 
 void Link::set_params(LinkParams params) {
   params.loss = std::clamp(params.loss, 0.0, 1.0);
-  for (Direction& dir : dir_) {
+  for (int d = 0; d < 2; ++d) {
+    Direction& dir = dir_[d];
+    if (dir.sink != nullptr && params.delay < dir.sink->min_delay()) {
+      // The parallel engine's epochs rely on this bound: stop in every
+      // build type rather than deliver a packet inside its own epoch.
+      const Interface& from = d == 0 ? a_ : b_;
+      const Interface& to = d == 0 ? b_ : a_;
+      std::fprintf(stderr,
+                   "net::Link %s->%s: staged delay %lld ns < delay floor "
+                   "%lld ns\n",
+                   from.node->name().c_str(), to.node->name().c_str(),
+                   static_cast<long long>(params.delay),
+                   static_cast<long long>(dir.sink->min_delay()));
+      std::abort();
+    }
     LinkParams staged = params;
     if (staged.rate <= 0) staged.rate = dir.pending_params.rate;
     dir.pending_params = staged;
@@ -84,8 +103,7 @@ void Link::set_params(LinkParams params) {
 void Link::set_burst_limit(int n) { burst_limit_ = std::max(1, n); }
 
 void Link::bind_shard(int dir, sim::Simulator* sim, CrossSink* sink) {
-  assert(dir_[dir].queue == nullptr || dir_[dir].queue->empty());
-  assert(dir_[dir].flight == nullptr || dir_[dir].flight->empty());
+  assert(dir_[dir].queue.empty() && dir_[dir].flight.empty());
   dir_[dir].sim = sim;
   dir_[dir].sink = sink;
 }
@@ -101,12 +119,12 @@ void Link::set_admin_up(bool up) {
 
 void Link::drain(int d) {
   Direction& dir = dir_[d];
-  if (dir.queue == nullptr || dir.queue->empty()) return;
+  if (dir.queue.empty()) return;
   Metrics& m = metrics(dir);
-  dir.stats.admin_drops += dir.queue->size();
-  m.admin_drops->inc(dir.queue->size());
+  const std::size_t dropped = dir.queue.clear();
+  dir.stats.admin_drops += dropped;
+  m.admin_drops->inc(dropped);
   m.queued_bytes->add(-static_cast<double>(dir.queued_bytes));
-  dir.queue->clear();
   dir.queued_bytes = 0;
 }
 
@@ -135,16 +153,13 @@ void Link::transmit(const Interface& from, PooledPacket pkt) {
   }
   dir.queued_bytes += size;
   m.queued_bytes->add(static_cast<double>(size));
-  if (dir.queue == nullptr) {
-    dir.queue = std::make_unique<std::deque<PooledPacket>>();
-  }
-  dir.queue->push_back(std::move(pkt));
+  dir.queue.push(std::move(pkt));
   if (!dir.busy) start_service(d);
 }
 
 void Link::start_service(int d) {
   Direction& dir = dir_[d];
-  if (dir.queue == nullptr || dir.queue->empty()) {
+  if (dir.queue.empty()) {
     dir.busy = false;
     return;
   }
@@ -166,19 +181,15 @@ void Link::start_service(int d) {
   // servicing one packet per event, at 1/burst the heap dispatches.
   prune_claimed(dir, sim.now());
   util::Duration span = 0;
-  for (int n = 0; n < burst_limit_ && !dir.queue->empty(); ++n) {
-    PooledPacket pkt = std::move(dir.queue->front());
-    dir.queue->pop_front();
+  for (int n = 0; n < burst_limit_ && !dir.queue.empty(); ++n) {
+    PooledPacket pkt = dir.queue.pop_front();
     const std::size_t size = pkt->wire_size();
     dir.queued_bytes -= size;
     m.queued_bytes->add(-static_cast<double>(size));
     if (n > 0) {
       // Serialization starts at now + span (after the packets ahead of it
       // in the burst); until then its bytes count against the buffer.
-      if (dir.claimed == nullptr) {
-        dir.claimed = std::make_unique<std::deque<Direction::ClaimedSpan>>();
-      }
-      dir.claimed->push_back({sim.now() + span, size});
+      dir.claimed.push_back({sim.now() + span, size});
       dir.claimed_bytes += size;
     }
     const util::Duration tx = util::transmission_delay(size, dir.params.rate);
@@ -213,29 +224,20 @@ void Link::start_service(int d) {
 void Link::enqueue_flight(int d, util::TimePoint deliver_at,
                           PooledPacket pkt) {
   Direction& dir = dir_[d];
-  if (dir.flight == nullptr) {
-    dir.flight = std::make_unique<std::deque<Direction::InFlight>>();
-  }
-  auto& q = *dir.flight;
-  if (q.empty() || q.back().deliver_at <= deliver_at) {
-    q.push_back({deliver_at, std::move(pkt)});
-  } else {
-    // A staged delay decrease let this packet overtake older wire traffic;
-    // walk in from the back (parameters only change at burst boundaries,
-    // so this is rare and short).
-    auto it = q.end();
-    while (it != q.begin() && std::prev(it)->deliver_at > deliver_at) --it;
-    q.insert(it, {deliver_at, std::move(pkt)});
-  }
-  if (!dir.flight_armed || deliver_at < dir.flight_deadline) arm_flight(d);
+  const bool rearm = !dir.flight_armed || deliver_at < dir.flight.front_at();
+  // Ordered by deliver_at: a staged delay decrease can let this packet
+  // overtake older wire traffic (parameters only change at burst
+  // boundaries, so that is rare), and it still lands after any packet due
+  // at the same instant.
+  dir.flight.push(std::move(pkt), deliver_at);
+  if (rearm) arm_flight(d);
 }
 
 void Link::arm_flight(int d) {
   Direction& dir = dir_[d];
   sim::Simulator& sim = *dir.sim;
-  const util::TimePoint when = dir.flight->front().deliver_at;
+  const util::TimePoint when = dir.flight.front_at();
   const util::Duration delta = when > sim.now() ? when - sim.now() : 0;
-  dir.flight_deadline = when;
   dir.flight_armed = true;
   // One persistent timer per direction: rearm in place while pending,
   // schedule afresh only after it fired.
@@ -250,10 +252,8 @@ void Link::on_flight(int d) {
   dir.flight_armed = false;
   sim::Simulator& sim = *dir.sim;
   Interface& to = d == 0 ? b_ : a_;
-  auto& q = *dir.flight;
-  while (!q.empty() && q.front().deliver_at <= sim.now()) {
-    PooledPacket pkt = std::move(q.front().pkt);
-    q.pop_front();
+  while (!dir.flight.empty() && dir.flight.front_at() <= sim.now()) {
+    PooledPacket pkt = dir.flight.pop_front();
     if (!admin_up_) {
       // Link still down when propagation completed: the wire lost it.
       ++dir.stats.admin_drops;
@@ -262,7 +262,7 @@ void Link::on_flight(int d) {
     }
     to.node->deliver(std::move(pkt), to);
   }
-  if (!q.empty() && !dir.flight_armed) arm_flight(d);
+  if (!dir.flight.empty() && !dir.flight_armed) arm_flight(d);
 }
 
 }  // namespace hpop::net

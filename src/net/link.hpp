@@ -1,8 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/pool.hpp"
@@ -25,7 +24,7 @@ struct LinkParams {
 /// Destination for packets leaving the shard that services a link
 /// direction. A boundary direction bound to a CrossSink hands each
 /// fully-serialized packet — with its absolute delivery time — to the sink
-/// instead of scheduling local delivery; the parallel engine's SPSC ring
+/// instead of scheduling local delivery; the parallel engine's epoch
 /// buffers implement it. `pkt` is detached from any pool (moved by value)
 /// so the receiving shard can re-home it in its own arena.
 class CrossSink {
@@ -33,6 +32,10 @@ class CrossSink {
   virtual ~CrossSink() = default;
   virtual void push(util::TimePoint deliver_at, Packet&& pkt,
                     Interface* to) = 0;
+  /// The least propagation delay a direction bound to this sink may have
+  /// (the engine's lookahead: anything shorter could deliver a packet
+  /// inside the epoch that sent it).
+  virtual util::Duration min_delay() const = 0;
 };
 
 /// Full-duplex point-to-point link between two interfaces. Each direction
@@ -69,7 +72,9 @@ class Link {
   /// rate/loss apply from the start of the next burst. Changing params
   /// mid-flight therefore never reschedules or double-accounts an
   /// in-service packet (it used to corrupt busy_time and delivery
-  /// ordering). Setters stage on both directions.
+  /// ordering). Setters stage on both directions. set_params aborts, in
+  /// every build type, when it would stage a delay below the min_delay()
+  /// of a direction's CrossSink.
   void set_loss(double loss);
   void set_rate(util::BitRate rate);
   void set_params(LinkParams params);
@@ -90,7 +95,8 @@ class Link {
 
   /// Rebinds direction `dir` to a shard: its service and delivery events
   /// schedule on `sim`, and — when `sink` is non-null — completed packets
-  /// are pushed into `sink` instead of delivered locally. Must be called
+  /// are pushed into `sink` instead of delivered locally, and the sink's
+  /// min_delay() becomes the direction's delay floor. Must be called
   /// before any traffic flows. Only the parallel engine calls this; serial
   /// code leaves both directions on the constructing simulator.
   void bind_shard(int dir, sim::Simulator* sim, CrossSink* sink);
@@ -118,7 +124,7 @@ class Link {
   /// first use so each direction binds to the registry of the thread that
   /// services it — the registry is thread_local, and resolving at
   /// construction (on the build thread) would hand every shard's links the
-  /// same Counter objects to race on.
+  /// same Counter objects to race on. Null until then.
   struct Metrics {
     telemetry::Counter* pkts = nullptr;
     telemetry::Counter* bytes = nullptr;
@@ -126,48 +132,45 @@ class Link {
     telemetry::Counter* loss_drops = nullptr;
     telemetry::Counter* admin_drops = nullptr;
     telemetry::Gauge* queued_bytes = nullptr;
-    bool bound = false;
   };
 
+  /// Per-direction state. Its size is a fixed cost of every link in a
+  /// metro world (two directions a home), so the small fields share one
+  /// word at the end.
   struct Direction {
-    /// Allocated on first enqueue: libstdc++'s deque grabs ~0.5KB at
-    /// construction, and a metro-scale world has hundreds of thousands of
-    /// link directions that never carry a packet (last-mile links of idle
-    /// homes). Null means "never used"; once allocated it stays.
-    std::unique_ptr<std::deque<PooledPacket>> queue;
+    /// Packets waiting for service, threaded through their own pool slots
+    /// (see PacketFifo): a metro-scale world has hundreds of thousands of
+    /// link directions, most of them idle, and a FIFO holds no buffer of
+    /// its own.
+    PacketFifo queue;
     std::size_t queued_bytes = 0;
-    bool busy = false;
     LinkParams params;
     /// Staged parameters; applied at the next burst start (see set_rate).
     LinkParams pending_params;
-    bool params_dirty = false;
     /// Packets claimed by the in-flight burst whose serialization has not
     /// started yet. Their bytes still occupy the drop-tail buffer until
     /// their serialization start instant, so transmit()'s overflow check
     /// makes exactly the same decisions as per-packet servicing (bursting
     /// must not widen the effective buffer by burst_limit-1 packets).
-    /// Lazily allocated: empty whenever burst_limit() == 1.
+    /// Spans before `claimed_head` are pruned; the vector is cleared,
+    /// keeping its capacity, once pruned empty. Every span starts before
+    /// the next burst does, so it never holds more than burst_limit - 1,
+    /// and stays unallocated while burst_limit() == 1.
     struct ClaimedSpan {
       util::TimePoint start;
       std::size_t bytes;
     };
-    std::unique_ptr<std::deque<ClaimedSpan>> claimed;
+    std::vector<ClaimedSpan> claimed;
     std::size_t claimed_bytes = 0;
     /// Packets serialized and propagating toward the receiver, in delivery
-    /// order. One persistent timer per direction walks this FIFO instead
-    /// of scheduling a heap event per packet: a gigabit path keeps
-    /// hundreds of packets on the wire, and holding them here instead of
-    /// in the event heap keeps every sift over a far smaller heap. The
-    /// delivery instants are unchanged — the timer fires at exactly the
-    /// per-packet deliver_at times. Lazily allocated like `queue`.
-    struct InFlight {
-      util::TimePoint deliver_at;
-      PooledPacket pkt;
-    };
-    std::unique_ptr<std::deque<InFlight>> flight;
+    /// order, each stamped with its deliver_at. One persistent timer per
+    /// direction walks this FIFO instead of scheduling a heap event per
+    /// packet: a gigabit path keeps hundreds of packets on the wire, and
+    /// holding them here instead of in the event heap keeps every sift
+    /// over a far smaller heap. The delivery instants are unchanged — the
+    /// timer fires at exactly the per-packet deliver_at times.
+    PacketFifo flight;
     sim::TimerId flight_timer = 0;  // 0 = never scheduled
-    bool flight_armed = false;
-    util::TimePoint flight_deadline = 0;  // valid while flight_armed
     /// Per-direction loss stream: the draw sequence of one direction is
     /// independent of the other's traffic (and of which thread services
     /// it).
@@ -176,6 +179,11 @@ class Link {
     CrossSink* sink = nullptr;
     Metrics m;
     DirectionStats stats;
+    std::uint32_t claimed_head = 0;
+    bool busy = false;
+    bool params_dirty = false;
+    /// The flight timer is pending, due at flight.front_at().
+    bool flight_armed = false;
   };
 
   Metrics& metrics(Direction& dir);

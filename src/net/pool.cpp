@@ -1,6 +1,8 @@
 #include "net/pool.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace hpop::net {
 
@@ -20,8 +22,8 @@ PooledPacket PacketPool::acquire() {
   if (free_head_ != kNone) {
     idx = free_head_;
     Slot& s = slot_at(idx);
-    free_head_ = s.next_free;
-    s.next_free = kNone;
+    free_head_ = s.next;
+    s.next = kNone;
     ++stats_.recycled;
   } else {
     if (size_ % kSlabSize == 0) {
@@ -64,11 +66,74 @@ void PacketPool::release(std::uint32_t idx, std::uint32_t gen) {
   s.pkt.tcp.sack = std::move(sack);
 
   if (recycling_) {
-    s.next_free = free_head_;
+    s.next = free_head_;
     free_head_ = idx;
   }
   // Recycling off: the slot is retired (never re-enters the freelist), so
   // every acquire sees virgin storage — the "unpooled" comparison mode.
+}
+
+void PacketFifo::push(PooledPacket pkt, util::TimePoint at) {
+  // Mixing pools would chain slot indices of one arena into another's:
+  // stop in every build type rather than corrupt both.
+  if (pkt.pool_ == nullptr || (pool_ != nullptr && pkt.pool_ != pool_)) {
+    std::fprintf(stderr,
+                 "net::PacketFifo: packet from pool %p pushed onto a FIFO "
+                 "of pool %p; a FIFO holds one pool's packets\n",
+                 static_cast<void*>(pkt.pool_), static_cast<void*>(pool_));
+    std::abort();
+  }
+  pool_ = pkt.pool_;
+  const std::uint32_t idx = pkt.idx_;
+  pkt.pool_ = nullptr;  // the FIFO owns the slot now
+  PacketPool::Slot& s = pool_->slot_at(idx);
+  s.at = at;
+  // Insert after the last packet stamped <= at: the tail in the common
+  // case, else found by a walk from the front.
+  std::uint32_t prev = tail_;
+  if (prev != PacketPool::kNone && pool_->slot_at(prev).at > at) {
+    prev = PacketPool::kNone;
+    for (std::uint32_t i = head_; pool_->slot_at(i).at <= at;
+         i = pool_->slot_at(i).next) {
+      prev = i;
+    }
+  }
+  if (prev == PacketPool::kNone) {
+    s.next = head_;
+    head_ = idx;
+  } else {
+    PacketPool::Slot& p = pool_->slot_at(prev);
+    s.next = p.next;
+    p.next = idx;
+  }
+  if (s.next == PacketPool::kNone) tail_ = idx;
+}
+
+util::TimePoint PacketFifo::front_at() const {
+  return pool_->slot_at(head_).at;
+}
+
+PooledPacket PacketFifo::pop_front() {
+  const std::uint32_t idx = head_;
+  PacketPool::Slot& s = pool_->slot_at(idx);
+  head_ = s.next;
+  s.next = PacketPool::kNone;
+  if (head_ == PacketPool::kNone) tail_ = PacketPool::kNone;
+  return PooledPacket(pool_, idx, s.gen);
+}
+
+std::size_t PacketFifo::clear() {
+  std::size_t released = 0;
+  while (head_ != PacketPool::kNone) {
+    const std::uint32_t idx = head_;
+    PacketPool::Slot& s = pool_->slot_at(idx);
+    head_ = s.next;
+    s.next = PacketPool::kNone;
+    pool_->release(idx, s.gen);
+    ++released;
+  }
+  tail_ = PacketPool::kNone;
+  return released;
 }
 
 }  // namespace hpop::net

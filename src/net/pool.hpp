@@ -9,6 +9,7 @@
 
 namespace hpop::net {
 
+class PacketFifo;
 class PacketPool;
 
 /// Move-only owning handle to a pool slot. Small enough (24 bytes) that a
@@ -51,6 +52,7 @@ class PooledPacket {
   std::uint32_t generation() const { return gen_; }
 
  private:
+  friend class PacketFifo;
   friend class PacketPool;
   PooledPacket(PacketPool* pool, std::uint32_t idx, std::uint32_t gen)
       : pool_(pool), idx_(idx), gen_(gen) {}
@@ -98,6 +100,7 @@ class PacketPool : public sim::Simulator::Attachment {
   const Stats& stats() const { return stats_; }
 
  private:
+  friend class PacketFifo;
   friend class PooledPacket;
 
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
@@ -105,8 +108,12 @@ class PacketPool : public sim::Simulator::Attachment {
 
   struct Slot {
     Packet pkt;
+    /// A PacketFifo's stamp for the packet it holds here.
+    util::TimePoint at = 0;
     std::uint32_t gen = 0;
-    std::uint32_t next_free = kNone;
+    /// The freelist link while the slot is free; a PacketFifo's link while
+    /// the (live) slot's packet is queued in one.
+    std::uint32_t next = kNone;
     bool live = false;
   };
 
@@ -120,6 +127,44 @@ class PacketPool : public sim::Simulator::Attachment {
   std::uint32_t free_head_ = kNone;
   bool recycling_ = true;
   Stats stats_;
+};
+
+/// A FIFO of pooled packets threaded through their slots: a queued
+/// packet's slot is live, so its freelist link is free to chain the queue,
+/// and the FIFO itself is just its pool, head and tail. Pushing allocates
+/// nothing. The FIFO owns what it holds: pop_front hands a packet's handle
+/// back, and clear() or destruction release the rest to the pool.
+///
+/// Each packet carries a stamp, kept in its slot, and push keeps the FIFO
+/// ordered by stamp: a packet lands after every packet stamped at or
+/// before its own, so with equal stamps (the default) it is a plain FIFO.
+///
+/// One pool only: the first push binds the FIFO to its packet's pool, and
+/// a packet from any other pool aborts in every build type. The FIFO must
+/// not outlive that pool.
+class PacketFifo {
+ public:
+  PacketFifo() = default;
+  PacketFifo(const PacketFifo&) = delete;
+  PacketFifo& operator=(const PacketFifo&) = delete;
+  ~PacketFifo() { clear(); }
+
+  bool empty() const { return head_ == PacketPool::kNone; }
+
+  /// Queues `pkt` stamped `at`. O(1) when no queued packet is stamped
+  /// later than `at`; otherwise walks in from the front.
+  void push(PooledPacket pkt, util::TimePoint at = 0);
+  /// The front packet's stamp. The FIFO must not be empty.
+  util::TimePoint front_at() const;
+  /// Dequeues the front packet. The FIFO must not be empty.
+  PooledPacket pop_front();
+  /// Releases every queued packet to the pool; returns how many.
+  std::size_t clear();
+
+ private:
+  PacketPool* pool_ = nullptr;
+  std::uint32_t head_ = PacketPool::kNone;
+  std::uint32_t tail_ = PacketPool::kNone;
 };
 
 inline Packet* PooledPacket::get() const {

@@ -91,7 +91,6 @@ struct ShardedDay {
 
     Engine::Config ec;
     ec.workers = cfg.workers;
-    ec.ring_slots = cfg.ring_slots;
     ec.lookahead = plan.lookahead;
     eng = std::make_unique<Engine>(ec);
     for (std::size_t p = 0; p < plan.partitions; ++p) {
@@ -206,7 +205,6 @@ struct ShardedDay {
     r.events = eng->events_executed();
     r.epochs = eng->stats().epochs;
     r.crossings = eng->stats().crossings;
-    r.spilled = eng->stats().spilled;
     for (const auto& c : chaos) {
       r.chaos_crashes += c->stats().crashes;
       r.chaos_restarts += c->stats().restarts;

@@ -12,7 +12,7 @@ namespace hpop::psim {
 /// residential diurnal curve and flash crowds; origins answer each request
 /// with a train of 1200-byte chunks). Transport stays packet-level on
 /// purpose: every per-home state is owned by the home's shard, so the day
-/// parallelizes without sharing anything but the boundary rings. The same
+/// parallelizes without sharing anything but the boundary buffers. The same
 /// day over TCP/MPTCP is run_tcp_day (psim/tcp_day.hpp), which takes this
 /// config plus one field.
 struct DayConfig {
@@ -26,7 +26,6 @@ struct DayConfig {
   std::size_t catalog_objects = 2'000;
   double zipf_skew = 0.9;
   std::size_t flash_crowds = 2;
-  std::size_t ring_slots = 4'096;
   int burst_limit = 8;
   /// Adds a DSLAM crash in PoP 1's shard and a partition cut inside PoP
   /// 2's shard (skipped when the topology has fewer than 3 PoPs).
@@ -44,6 +43,9 @@ struct ShardedDayResult {
   std::uint64_t events = 0;
   std::uint64_t epochs = 0;
   std::uint64_t crossings = 0;
+  /// Always 0: a crossing buffers a whole epoch, so nothing spills. Kept,
+  /// with the report's `spilled=` token, because perfbench reads it and
+  /// day reports must not change.
   std::uint64_t spilled = 0;
   std::uint64_t chaos_crashes = 0;
   std::uint64_t chaos_restarts = 0;

@@ -68,11 +68,7 @@ void Crossing::push(util::TimePoint deliver_at, net::Packet&& pkt,
         pkt.tcp.sack.view());
     pkt.tcp.sack.assign(std::move(body));
   }
-  CrossItem item{deliver_at, seq_++, to, std::move(pkt)};
-  if (!spill_.empty() || !ring_.try_push(std::move(item))) {
-    spill_.push_back(std::move(item));
-    ++spilled_;
-  }
+  items_.push_back({deliver_at, to, std::move(pkt)});
 }
 
 Engine::Engine(const Config& cfg)
@@ -114,7 +110,7 @@ Crossing* Engine::crossing(std::size_t from, std::size_t to) {
   for (auto& c : crossings_) {
     if (c->from() == from && c->to() == to) return c.get();
   }
-  crossings_.push_back(std::make_unique<Crossing>(from, to, cfg_.ring_slots));
+  crossings_.push_back(std::make_unique<Crossing>(from, to, cfg_.lookahead));
   inbound_[to].push_back(crossings_.back().get());
   return crossings_.back().get();
 }
@@ -152,14 +148,10 @@ void Engine::drain_all() {
     sim::Simulator& dest = *sims_[to];
     net::PacketPool& pool = net::PacketPool::of(dest);
     for (Crossing* c : inbound_[to]) {
-      CrossItem item;
-      while (c->ring_.try_pop(item)) {
+      for (CrossItem& item : c->items_) {
         deliver_item(pool, dest, std::move(item));
       }
-      for (CrossItem& sp : c->spill_) {
-        deliver_item(pool, dest, std::move(sp));
-      }
-      c->spill_.clear();
+      c->items_.clear();
     }
   }
 }
@@ -228,8 +220,6 @@ void Engine::run_until(util::TimePoint horizon) {
     // deadline — always in the receiving shard's future.
     drain_all();
   }
-  stats_.spilled = 0;
-  for (auto& c : crossings_) stats_.spilled += c->spilled_;
 }
 
 std::uint64_t Engine::events_executed() const {

@@ -10,36 +10,35 @@
 
 #include "net/link.hpp"
 #include "net/pool.hpp"
-#include "psim/spsc_ring.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
 
 namespace hpop::psim {
 
-/// One packet in flight between shards: where it is due, a producer-side
-/// sequence stamp (FIFO tie-break inside one crossing), and the interface
+/// One packet in flight between shards: where it is due and the interface
 /// it will be delivered on.
 struct CrossItem {
   util::TimePoint deliver_at = 0;
-  std::uint64_t seq = 0;
   net::Interface* to = nullptr;
   net::Packet pkt;
 };
 
-/// The SPSC channel for one ordered partition pair (from → to). The
-/// producer is the worker servicing `from` (during an epoch); the consumer
-/// is the barrier (worker 0, the others waiting), so the ring is never
-/// popped concurrently with pushes. A full ring spills to a producer-local
-/// vector; once anything has spilled, later pushes spill too — popping
-/// could reopen ring slots mid-epoch, and letting push order fork between
-/// ring and spill would break FIFO.
+/// The epoch buffer for one ordered partition pair (from → to). The
+/// producer, the worker servicing `from`, appends during an epoch; the
+/// barrier (worker 0, the others waiting) drains it in push order and
+/// clears it, keeping the capacity. Pushes and the drain never overlap:
+/// the generation bump that starts an epoch orders the previous drain
+/// before every push, and the arrival bump that ends it orders every push
+/// before the next drain. So the buffer needs no synchronization of its
+/// own and grows only to the busiest epoch's traffic.
 class Crossing : public net::CrossSink {
  public:
-  Crossing(std::size_t from, std::size_t to, std::size_t slots)
-      : from_(from), to_(to), ring_(slots) {}
+  Crossing(std::size_t from, std::size_t to, util::Duration lookahead)
+      : from_(from), to_(to), lookahead_(lookahead) {}
 
   void push(util::TimePoint deliver_at, net::Packet&& pkt,
             net::Interface* to) override;
+  util::Duration min_delay() const override { return lookahead_; }
 
   std::size_t from() const { return from_; }
   std::size_t to() const { return to_; }
@@ -48,10 +47,8 @@ class Crossing : public net::CrossSink {
   friend class Engine;
   std::size_t from_;
   std::size_t to_;
-  SpscRing<CrossItem> ring_;
-  std::vector<CrossItem> spill_;  // producer-written, barrier-drained
-  std::uint64_t seq_ = 0;
-  std::uint64_t spilled_ = 0;
+  util::Duration lookahead_;
+  std::vector<CrossItem> items_;  // this epoch's pushes, in push order
 };
 
 /// Conservative-lookahead parallel engine (CMB-style). The topology is cut
@@ -83,7 +80,6 @@ class Engine {
     /// Threads that run partitions, counting the caller of run_until as
     /// worker 0. 0 and 1 both run every partition inline on the caller.
     std::size_t workers = 1;
-    std::size_t ring_slots = 1024;
     /// Minimum boundary-link one-way delay; must be > 0.
     util::Duration lookahead = 0;
   };
@@ -118,7 +114,9 @@ class Engine {
   /// Binds link direction `dir` (sender side in `from`) as a boundary: it
   /// serializes on `from`'s clock and hands finished packets to the
   /// (from → to) crossing. Aborts unless the direction's propagation
-  /// delay is >= the configured lookahead.
+  /// delay is >= the configured lookahead. The crossing's min_delay() is
+  /// the lookahead, so a later Link::set_params that would lower the delay
+  /// below it aborts too.
   void bind_boundary(net::Link* link, int dir, std::size_t from,
                      std::size_t to);
 
@@ -130,7 +128,6 @@ class Engine {
   struct Stats {
     std::uint64_t epochs = 0;
     std::uint64_t crossings = 0;  // packets drained across shard boundaries
-    std::uint64_t spilled = 0;    // crossings that overflowed their ring
   };
   const Stats& stats() const { return stats_; }
 

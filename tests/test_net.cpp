@@ -319,6 +319,44 @@ TEST(Link, MidBurstParamChangeKeepsClaimedSchedules) {
             sent_at + util::transmission_delay(1000, 10 * kMbps));
 }
 
+TEST(Link, DelayDecreaseOvertakesAndKeepsEqualInstantsInOrder) {
+  // Two staged delay cuts, one per service burst: p2 overtakes p1 on the
+  // wire, and p3 then lands on p2's exact delivery instant. Each must be
+  // delivered at its own deliver_at, and p3 after p2, the older of the two.
+  sim::Simulator sim;
+  Network net(sim, util::Rng(1));
+  Host& a = net.add_host("a", IpAddr(1, 0, 0, 1));
+  Host& b = net.add_host("b", IpAddr(1, 0, 0, 2));
+  LinkParams lp{1 * kMbps, 20 * kMillisecond, 0.0, 1 << 20};
+  Link& link = net.connect(a, b, lp);
+  link.set_burst_limit(1);  // one packet, and one parameter set, per burst
+  net.auto_route();
+  std::unique_ptr<std::vector<Seen>> seen(capture(b, sim));
+
+  const util::Duration tx = util::transmission_delay(1000, 1 * kMbps);  // 8ms
+  for (std::uint16_t port = 1; port <= 3; ++port) {
+    a.send_packet(make_udp({a.address(), port}, {b.address(), 9}, 972));
+  }
+  // p1 serializes in [0, tx) at 20 ms, p2 in [tx, 2tx) at 10 ms and p3 in
+  // [2tx, 3tx) at 2 ms: due at tx + 20, 2tx + 10 and 3tx + 2 ms.
+  sim.schedule(1 * kMillisecond, [&] {
+    lp.delay = 10 * kMillisecond;
+    link.set_params(lp);
+  });
+  sim.schedule(tx + 1 * kMillisecond, [&] {
+    lp.delay = 2 * kMillisecond;
+    link.set_params(lp);
+  });
+  sim.run();
+  ASSERT_EQ(seen->size(), 3u);
+  EXPECT_EQ(seen->at(0).pkt.udp.src_port, 2);
+  EXPECT_EQ(seen->at(0).at, 2 * tx + 10 * kMillisecond);
+  EXPECT_EQ(seen->at(1).pkt.udp.src_port, 3);
+  EXPECT_EQ(seen->at(1).at, 3 * tx + 2 * kMillisecond);
+  EXPECT_EQ(seen->at(2).pkt.udp.src_port, 1);
+  EXPECT_EQ(seen->at(2).at, tx + 20 * kMillisecond);
+}
+
 TEST(Link, BurstLimitDoesNotChangeDeliveryTimes) {
   // Burst servicing is a dispatch-count optimization, not a model change:
   // delivery instants must be identical at burst_limit 1 (strict

@@ -1,11 +1,14 @@
 // PacketPool invariants: generation-checked reuse, retire mode, drain on
-// simulator teardown (closures still holding handles), and the determinism
-// contract — recycling slots must not change simulation behavior.
+// simulator teardown (closures still holding handles), the determinism
+// contract — recycling slots must not change simulation behavior — and the
+// PacketFifo threaded through pool slots.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/pool.hpp"
 #include "net/topology.hpp"
@@ -67,6 +70,103 @@ TEST(PacketPool, DrainsOnSimulatorTeardown) {
   EXPECT_GE(pool.stats().slabs, 2u);
   EXPECT_EQ(pool.stats().live, 300u);
   // Scope exit: queue drains first, then the attachment — no touch-after-free.
+}
+
+// --- PacketFifo -------------------------------------------------------------
+
+net::PooledPacket tagged(net::PacketPool& pool, std::size_t tag) {
+  net::PooledPacket p = pool.acquire();
+  p->payload_len = tag;
+  return p;
+}
+
+std::vector<std::size_t> drain_tags(net::PacketFifo& fifo) {
+  std::vector<std::size_t> tags;
+  while (!fifo.empty()) tags.push_back(fifo.pop_front()->payload_len);
+  return tags;
+}
+
+TEST(PacketFifo, KeepsOrderAcrossSlotReuse) {
+  sim::Simulator sim;
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  net::PacketFifo fifo;
+  for (std::size_t i = 0; i < 4; ++i) fifo.push(tagged(pool, i));
+  EXPECT_EQ(fifo.pop_front()->payload_len, 0u);  // slot 0 back on the freelist
+  EXPECT_EQ(fifo.pop_front()->payload_len, 1u);
+  // The next two packets reuse the freed slots, in freelist order (1, 0),
+  // but queue behind the older packets in push order.
+  net::PooledPacket reused = tagged(pool, 4);
+  EXPECT_EQ(reused.index(), 1u);
+  fifo.push(std::move(reused));
+  fifo.push(tagged(pool, 5));
+  fifo.push(tagged(pool, 6));  // a fresh slot
+  EXPECT_EQ(drain_tags(fifo), (std::vector<std::size_t>{2, 3, 4, 5, 6}));
+  EXPECT_EQ(pool.stats().live, 0u);
+  // Drained empty, the FIFO starts over cleanly.
+  fifo.push(tagged(pool, 7));
+  EXPECT_EQ(drain_tags(fifo), (std::vector<std::size_t>{7}));
+}
+
+TEST(PacketFifo, TimedPushLandsAfterEqualStamps) {
+  sim::Simulator sim;
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  net::PacketFifo fifo;
+  fifo.push(tagged(pool, 0), 10);
+  fifo.push(tagged(pool, 1), 20);
+  fifo.push(tagged(pool, 2), 20);
+  fifo.push(tagged(pool, 3), 30);
+  fifo.push(tagged(pool, 4), 20);  // overtakes 3, not the earlier 20s
+  fifo.push(tagged(pool, 5), 5);   // overtakes everything
+  fifo.push(tagged(pool, 6), 10);  // after 0, its equal
+  fifo.push(tagged(pool, 7), 30);  // the back, after 3
+  EXPECT_EQ(fifo.front_at(), 5);
+  EXPECT_EQ(drain_tags(fifo),
+            (std::vector<std::size_t>{5, 0, 6, 1, 2, 4, 3, 7}));
+}
+
+TEST(PacketFifo, ClearAndDestructionReleaseEverySlot) {
+  sim::Simulator sim;
+  net::PacketPool& pool = net::PacketPool::of(sim);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> handles;
+  auto fill = [&](net::PacketFifo& fifo) {
+    handles.clear();
+    for (std::size_t i = 0; i < 300; ++i) {  // spans two slabs
+      net::PooledPacket p = tagged(pool, i);
+      handles.emplace_back(p.index(), p.generation());
+      fifo.push(std::move(p), static_cast<util::TimePoint>(i % 7));
+    }
+    EXPECT_EQ(pool.stats().live, 300u);
+  };
+  auto all_stale = [&] {
+    for (const auto& [idx, gen] : handles) {
+      if (pool.try_get(idx, gen) != nullptr) return false;
+    }
+    return true;
+  };
+
+  net::PacketFifo fifo;
+  fill(fifo);
+  EXPECT_EQ(fifo.clear(), 300u);
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(pool.stats().live, 0u);
+  EXPECT_TRUE(all_stale());
+
+  {
+    net::PacketFifo scoped;
+    fill(scoped);
+  }
+  EXPECT_EQ(pool.stats().live, 0u);
+  EXPECT_TRUE(all_stale());
+}
+
+TEST(PacketFifoDeathTest, PushFromSecondPoolAborts) {
+  sim::Simulator sim_a;
+  sim::Simulator sim_b;
+  net::PacketFifo fifo;
+  fifo.push(net::PacketPool::of(sim_a).acquire());
+  EXPECT_DEATH(fifo.push(net::PacketPool::of(sim_b).acquire()),
+               "net::PacketFifo: packet from pool .* pushed onto a FIFO of "
+               "pool .*; a FIFO holds one pool's packets");
 }
 
 // --- Pooled vs unpooled determinism --------------------------------------

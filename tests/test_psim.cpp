@@ -13,46 +13,11 @@
 #include "psim/day.hpp"
 #include "psim/tcp_day.hpp"
 #include "psim/engine.hpp"
-#include "psim/spsc_ring.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace hpop {
 namespace {
-
-// --- SPSC ring ---
-
-TEST(SpscRing, FifoAndCapacity) {
-  psim::SpscRing<int> ring(6);  // rounds up to 8
-  EXPECT_EQ(ring.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(int(i)));
-  int extra = 99;
-  EXPECT_FALSE(ring.try_push(std::move(extra)));  // full
-  int out = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(ring.try_pop(out));  // empty
-}
-
-TEST(SpscRing, WraparoundKeepsOrder) {
-  psim::SpscRing<int> ring(4);
-  int out = -1;
-  int expect = 0;
-  // Interleaved push/pop far past capacity: indices wrap many times.
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.try_push(int(i)));
-    if (i % 4 == 3) {
-      for (int k = 0; k < 4; ++k) {
-        ASSERT_TRUE(ring.try_pop(out));
-        EXPECT_EQ(out, expect++);
-      }
-    }
-  }
-  while (ring.try_pop(out)) EXPECT_EQ(out, expect++);
-  EXPECT_EQ(expect, 1000);
-}
 
 // --- Shard partitioner ---
 
@@ -89,7 +54,7 @@ struct Seen {
 
 /// Two senders in different shards, one receiver in a third. Link delays
 /// and packet sizes are identical, so both packets cross their boundary
-/// rings stamped with the SAME deliver_time; the drain must order them by
+/// buffers stamped with the SAME deliver_time; the drain must order them by
 /// crossing registration order, regardless of sender identity.
 class BoundaryFifoTest : public ::testing::Test {
  protected:
@@ -182,10 +147,15 @@ constexpr std::size_t kDeliveries = 3 * kTrain * (kHops + 1);
 /// next host on an even budget and back to the previous one on an odd
 /// budget, so both directions of every link carry traffic. run_until is
 /// called in several steps, one of them repeated and several landing
-/// mid-flight. Returns each partition's deliveries, in the order that
+/// mid-flight. With `burst` > 0, the links run at 10 Gbps and host 0 also
+/// sends `burst` single-hop packets to host 1 at t = 0, all of which cross
+/// in the first epoch: one crossing buffer grows by thousands of packets
+/// mid-epoch. Returns each partition's deliveries, in the order that
 /// partition saw them.
-std::vector<std::vector<Delivery>> run_triangle(std::size_t workers) {
+std::vector<std::vector<Delivery>> run_triangle(std::size_t workers,
+                                                std::uint16_t burst = 0) {
   constexpr util::Duration ms = util::kMillisecond;
+  constexpr std::uint16_t kBurstId = 10'000;  // above every train id
   psim::Engine::Config ec;
   ec.workers = workers;
   ec.lookahead = 2 * ms;
@@ -205,8 +175,9 @@ std::vector<std::vector<Delivery>> run_triangle(std::size_t workers) {
   std::vector<net::Link*> links;  // links[i]: host i -> host (i + 1) % 3
   for (int i = 0; i < 3; ++i) {
     net::LinkParams lp;
-    lp.rate = 100 * util::kMbps;
+    lp.rate = burst > 0 ? 10 * util::kGbps : 100 * util::kMbps;
     lp.delay = (2 + i) * ms;  // 2, 3 and 4 ms, all >= the lookahead
+    lp.queue_bytes = 4 << 20;  // holds the whole burst
     links.push_back(&net.connect(*hosts[i], *hosts[(i + 1) % 3], lp));
   }
   net.auto_route();
@@ -243,22 +214,40 @@ std::vector<std::vector<Delivery>> run_triangle(std::size_t workers) {
                              [&send, i, id] { send(i, id, kHops); });
     }
   }
+  eng.sim(0).schedule_at(0, [&send, burst] {
+    for (std::uint16_t k = 0; k < burst; ++k) {
+      send(0, static_cast<std::uint16_t>(kBurstId + k), 0);
+    }
+  });
   for (const util::TimePoint h :
        {5 * ms, 17 * ms, 17 * ms, 41 * ms, 200 * ms}) {
     eng.run_until(h);
   }
-  EXPECT_EQ(eng.stats().crossings, kDeliveries);
+  EXPECT_EQ(eng.stats().crossings, kDeliveries + burst);
+  // The first epoch is [0, lookahead), so a burst packet pushed in it is
+  // due before lookahead + link 0's 2 ms delay.
+  std::size_t burst_seen = 0;
+  for (const auto& [at, id, hops] : trace[1]) {
+    if (id < kBurstId) continue;
+    ++burst_seen;
+    EXPECT_LT(at, 4 * ms) << "burst packet " << id;
+  }
+  EXPECT_EQ(burst_seen, burst);
   return trace;
 }
 
 TEST(PsimEngine, DeliveryTraceIdenticalAcrossWorkerCounts) {
-  const std::vector<std::vector<Delivery>> ref = run_triangle(1);
-  std::size_t deliveries = 0;
-  for (const auto& t : ref) deliveries += t.size();
-  EXPECT_EQ(deliveries, kDeliveries);
-  // 0 runs inline like 1; 8 leaves workers 3..7 with no partition at all.
-  for (const std::size_t w : {0, 2, 3, 8}) {
-    EXPECT_EQ(run_triangle(w), ref) << "workers=" << w;
+  // 5000 packets in one epoch also outgrow any fixed-size hand-off.
+  for (const std::uint16_t burst : {0, 5'000}) {
+    const std::vector<std::vector<Delivery>> ref = run_triangle(1, burst);
+    std::size_t deliveries = 0;
+    for (const auto& t : ref) deliveries += t.size();
+    EXPECT_EQ(deliveries, kDeliveries + burst);
+    // 0 runs inline like 1; 8 leaves workers 3..7 with no partition at all.
+    for (const std::size_t w : {0, 2, 3, 8}) {
+      EXPECT_EQ(run_triangle(w, burst), ref)
+          << "workers=" << w << " burst=" << burst;
+    }
   }
 }
 
@@ -321,6 +310,30 @@ TEST(PsimEngineDeathTest, BoundaryDelayBelowLookaheadAborts) {
                "boundary 1->0 delay 1000000 ns < lookahead 2000000 ns");
 }
 
+TEST(PsimEngineDeathTest, BoundaryDelayLoweredBelowLookaheadAborts) {
+  sim::Simulator build_sim;
+  util::Rng rng(3);
+  net::Network net(build_sim, rng.fork());
+  net::Host& a = net.add_host("a", net::IpAddr(10, 0, 0, 1));
+  net::Host& b = net.add_host("b", net::IpAddr(10, 0, 0, 2));
+  net::LinkParams lp;
+  lp.delay = 2 * util::kMillisecond;
+  net::Link& ab = net.connect(a, b, lp);
+  psim::Engine::Config ec;
+  ec.lookahead = 2 * util::kMillisecond;
+  psim::Engine eng(ec);
+  eng.add_partition();
+  eng.add_partition();
+  eng.bind_boundary(&ab, 0, 0, 1);
+  eng.bind_boundary(&ab, 1, 1, 0);
+  lp.delay = 3 * util::kMillisecond;
+  ab.set_params(lp);  // raising the delay keeps the epoch bound
+  lp.delay = util::kMillisecond;
+  EXPECT_DEATH(ab.set_params(lp),
+               "net::Link a->b: staged delay 1000000 ns < delay floor "
+               "2000000 ns");
+}
+
 // --- Worker-count invariance + chaos in non-zero shards ---
 
 psim::DayConfig small_day(std::size_t workers, bool chaos = true) {
@@ -354,24 +367,6 @@ TEST(PsimDay, ChaosFiresInsideNonZeroShards) {
   EXPECT_EQ(r.chaos_crashes, 1u);
   EXPECT_EQ(r.chaos_restarts, 1u);
   EXPECT_GT(r.partition_drops, 0u);
-}
-
-TEST(PsimDay, RingOverflowSpillsWithoutReordering) {
-  // A deliberately tiny ring forces the spill path; traffic accounting
-  // must not change (spill preserves push order), only the spill counter.
-  psim::DayConfig big = small_day(2);
-  psim::DayConfig tiny = small_day(2);
-  tiny.ring_slots = 16;
-  psim::DayResult rb = psim::run_day(big);
-  psim::DayResult rt = psim::run_day(tiny);
-  EXPECT_GT(rt.spilled, 0u);
-  EXPECT_EQ(rb.spilled, 0u);
-  EXPECT_EQ(rb.requests, rt.requests);
-  EXPECT_EQ(rb.chunks, rt.chunks);
-  EXPECT_EQ(rb.rx_pkts, rt.rx_pkts);
-  EXPECT_EQ(rb.rx_bytes, rt.rx_bytes);
-  EXPECT_EQ(rb.events, rt.events);
-  EXPECT_EQ(rb.crossings, rt.crossings);
 }
 
 TEST(PsimDay, ChaosOffScriptsNoFaultsAndStaysWorkerInvariant) {
@@ -448,21 +443,6 @@ TEST(PsimTcpDay, MptcpSliceOffServesOverPlainTcpOnly) {
   EXPECT_EQ(r.mptcp_sessions, 0u);
   EXPECT_GT(r.completed, 0u);
   EXPECT_LE(r.origin_served + r.failed, r.conns);
-}
-
-TEST(PsimTcpDay, RingOverflowSpillsWithoutReordering) {
-  psim::TcpDayConfig tiny = small_tcp_day(2);
-  tiny.ring_slots = 16;
-  psim::TcpDayResult rb = psim::run_tcp_day(small_tcp_day(2));
-  psim::TcpDayResult rt = psim::run_tcp_day(tiny);
-  EXPECT_GT(rt.spilled, 0u);
-  EXPECT_EQ(rb.spilled, 0u);
-  EXPECT_EQ(rb.conns, rt.conns);
-  EXPECT_EQ(rb.completed, rt.completed);
-  EXPECT_EQ(rb.rx_bytes, rt.rx_bytes);
-  EXPECT_EQ(rb.retransmits, rt.retransmits);
-  EXPECT_EQ(rb.events, rt.events);
-  EXPECT_EQ(rb.crossings, rt.crossings);
 }
 
 }  // namespace
