@@ -134,5 +134,5 @@ int main() {
   std::printf("%s", mc.render().c_str());
   std::printf("=> the simulated restore path tracks the analytic model; "
               "shards leave the home encrypted and tamper-evident.\n");
-  return 0;
+  return exit_status();
 }

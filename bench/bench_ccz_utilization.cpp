@@ -117,5 +117,5 @@ int main() {
   std::printf("=> the \"infinite last mile\" reading of §II holds across "
               "the sweep: capacity is essentially never the binding "
               "constraint.\n");
-  return 0;
+  return exit_status();
 }

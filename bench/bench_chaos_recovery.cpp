@@ -19,6 +19,8 @@
 #include "attic/health.hpp"
 #include "attic/webdav.hpp"
 #include "bench/common.hpp"
+#include "durable/device.hpp"
+#include "durable/wal.hpp"
 #include "fault/fault.hpp"
 #include "http/server.hpp"
 #include "net/topology.hpp"
@@ -38,13 +40,16 @@ namespace {
 
 // ------------------------------------ A: health records across an HPoP crash
 
-/// Patient HPoP whose attic contents model disk (survive the crash) while
-/// the Hpop/AtticService objects model the process image (rebuilt).
+/// Patient HPoP whose attic lives on a simulated StorageDevice behind a
+/// WAL: the device survives the crash (minus its unflushed tail), while the
+/// Hpop/AtticService objects model the process image and are rebuilt by
+/// recovering from the device.
 struct PatientWorld {
   sim::Simulator sim;
   net::Network net{sim, util::Rng(53)};
   net::TwoHostPath path;
-  attic::AtticStore disk;
+  durable::StorageDevice disk{"patient-disk", util::Rng(71)};
+  std::unique_ptr<durable::Wal> wal;
   std::unique_ptr<core::Hpop> hpop;
   std::unique_ptr<attic::AtticService> attic;
   std::unique_ptr<transport::TransportMux> mux_provider;
@@ -61,12 +66,13 @@ struct PatientWorld {
     config.household = "patient";
     hpop = std::make_unique<core::Hpop>(*path.a, config);
     attic = std::make_unique<attic::AtticService>(*hpop);
-    attic->store() = disk;  // remount the surviving disk
+    wal = std::make_unique<durable::Wal>(disk, "attic.wal");
+    attic->store().recover_from_wal(*wal);
   }
   void teardown() {
-    disk = attic->store();
     attic.reset();
     hpop.reset();
+    wal.reset();
   }
 };
 
@@ -90,6 +96,7 @@ HealthOutcome run_health_crash() {
                         restarted_at = w.sim.now();
                         w.build();
                       });
+  chaos.attach_device("patient", &w.disk);
 
   const attic::ProviderGrant grant =
       attic::issue_provider_grant(*w.attic, "clinic");
@@ -343,5 +350,5 @@ int main() {
           std::to_string(retried.ok) + "/10 vs " + std::to_string(plain.ok) +
               "/10",
           retried.ok > plain.ok && retried.ok == 10);
-  return 0;
+  return exit_status();
 }

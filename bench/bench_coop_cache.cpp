@@ -161,5 +161,5 @@ int main() {
   std::printf("=> the shared head of the popularity distribution is "
               "fetched once per street instead of once per home; the tail "
               "still goes upstream.\n");
-  return 0;
+  return exit_status();
 }

@@ -1,20 +1,19 @@
 // Hot-path engine baseline: a self-gating microbench suite for the event
-// core and packet path (E15). Unlike bench_micro (google-benchmark, human
-// numbers), this binary measures the engine against an in-process replica
-// of the pre-overhaul scheduler — priority_queue with tombstone sets,
-// copy-constructed std::function closures, copy-from-top pop — on identical
-// workloads, writes the results as BENCH_CORE.json, and exits non-zero when
-// a gate fails:
+// core, the packet path and the bench-scale days every experiment funnels
+// through (E15). Unlike bench_micro (google-benchmark, human numbers), this
+// binary writes its results as BENCH_CORE.json and exits non-zero when a
+// gate fails. Each gate is one row of the table in main; among them:
 //
-//   gate 1: engine events/sec >= 2x the baseline scheduler on the hot
-//           self-rescheduling workload;
-//   gate 2: the TCP bulk transfer delivers every byte.
+//   - the scheduler stays under 0.01 allocations per event on the hot
+//     self-rescheduling loop and per op on the timer churn, and runs the
+//     hot loop at >= 5 M events/s;
+//   - the TCP bulk transfer and the packet hops deliver every byte.
 //
 // Allocation counts come from a global operator new/delete hook, so
 // "allocation-free hot path" is a measured number, not a claim.
 //
 // Flags: --out PATH (default BENCH_CORE.json), --smoke (small sizes for
-// CI), --no-gate (report but always exit 0).
+// CI).
 
 #include <algorithm>
 #include <atomic>
@@ -22,13 +21,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/alloc_hook.hpp"
@@ -60,133 +56,57 @@ double seconds_since(Clock::time_point start) {
 
 std::uint64_t alloc_count() { return benchhook::alloc_count(); }
 
-// --- Baseline scheduler -------------------------------------------------
-// Faithful replica of the pre-overhaul event core: a std::priority_queue
-// of events ordered by (when, seq), cancellation via a tombstone set
-// consulted (and a pending set maintained) on every pop, closures held in
-// copyable std::function, and the event copied out of top() before pop —
-// the exact shape the engine replaced. Rearm is cancel + fresh schedule.
-class BaselineScheduler {
- public:
-  using TimePoint = util::TimePoint;
-  using Duration = util::Duration;
-
-  std::uint64_t schedule(Duration delay, std::function<void()> fn) {
-    const std::uint64_t id = next_id_++;
-    queue_.push(Event{now_ + delay, next_seq_++, id, std::move(fn)});
-    pending_.insert(id);
-    return id;
-  }
-
-  void cancel(std::uint64_t id) {
-    if (pending_.erase(id) > 0) cancelled_.insert(id);
-  }
-
-  std::uint64_t reschedule(std::uint64_t id, Duration delay,
-                           std::function<void()> fn) {
-    cancel(id);
-    return schedule(delay, std::move(fn));
-  }
-
-  void run(std::uint64_t limit) {
-    std::uint64_t executed = 0;
-    while (executed < limit && !queue_.empty()) {
-      Event ev = queue_.top();  // the copy the engine no longer makes
-      queue_.pop();
-      if (cancelled_.erase(ev.id) > 0) continue;
-      pending_.erase(ev.id);
-      now_ = ev.when;
-      ++executed;
-      ev.fn();
-    }
-  }
-
-  TimePoint now() const { return now_; }
-
- private:
-  struct Event {
-    TimePoint when;
-    std::uint64_t seq;
-    std::uint64_t id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  TimePoint now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<std::uint64_t> pending_;
-  std::unordered_set<std::uint64_t> cancelled_;
-};
-
 // --- Workload 1: hot self-rescheduling timer ----------------------------
 // The inner loop of every simulated protocol: an event whose handler
-// schedules the next one. The closure captures a shared_ptr (as real timer
-// closures capture weak_ptr/shared_ptr owners), which is what forces the
-// baseline's std::function to heap-allocate per event. A pool of far-future
-// background timers keeps the heap realistically deep.
+// schedules the next one. The closure captures a shared_ptr, as real timer
+// closures capture their owners, so a scheduler that boxes its closures
+// (std::function does, past its small buffer) pays an allocation per event
+// here. A pool of far-future background timers keeps the heap
+// realistically deep.
 
 struct SchedulerResult {
   double events_per_sec = 0;
   double allocs_per_event = 0;
 };
 
-template <typename Sched, typename Ticker>
-SchedulerResult run_hot_loop(Sched& sched, std::uint64_t events,
-                             std::uint64_t* count, int background) {
-  for (int i = 0; i < background; ++i) {
-    sched.schedule(3600 * util::kSecond + i, [] {});
+struct Ticker {
+  sim::Simulator* sched;
+  std::uint64_t* count;
+  std::uint64_t limit;
+  std::shared_ptr<std::uint64_t> owner;
+  void operator()() const {
+    if (++*count < limit) sched->schedule(util::kMicrosecond, Ticker{*this});
   }
-  Ticker tick{&sched, count, events, std::make_shared<std::uint64_t>(0)};
-  sched.schedule(0, tick);
+};
+
+SchedulerResult run_hot_loop(std::uint64_t events, int background) {
+  sim::Simulator sim;
+  for (int i = 0; i < background; ++i) {
+    sim.schedule(3600 * util::kSecond + i, [] {});
+  }
+  std::uint64_t count = 0;
+  sim.schedule(0, Ticker{&sim, &count, events,
+                         std::make_shared<std::uint64_t>(0)});
   const std::uint64_t allocs_before = alloc_count();
   const auto start = Clock::now();
-  sched.run(events);
+  sim.run(events);
   const double elapsed = seconds_since(start);
   const std::uint64_t allocs = alloc_count() - allocs_before;
   return {static_cast<double>(events) / elapsed,
           static_cast<double>(allocs) / static_cast<double>(events)};
 }
 
-struct EngineTicker {
-  sim::Simulator* sched;
-  std::uint64_t* count;
-  std::uint64_t limit;
-  std::shared_ptr<std::uint64_t> owner;
-  void operator()() const {
-    if (++*count < limit) sched->schedule(util::kMicrosecond, EngineTicker{*this});
-  }
-};
-
-struct BaselineTicker {
-  BaselineScheduler* sched;
-  std::uint64_t* count;
-  std::uint64_t limit;
-  std::shared_ptr<std::uint64_t> owner;
-  void operator()() const {
-    if (++*count < limit)
-      sched->schedule(util::kMicrosecond, BaselineTicker{*this});
-  }
-};
-
 // --- Workload 2: schedule / cancel / rearm churn ------------------------
 // The connection-timer pattern: a population of armed timers that are
 // mostly rearmed (every ACK pushes out the RTO) or cancelled before they
-// fire. The engine rearms in place; the baseline pays cancel + schedule
-// (tombstone insert + fresh heap push + fresh closure) per rearm.
+// fire. The engine rearms in place, so a rearm allocates nothing.
 
 struct ChurnResult {
   double ops_per_sec = 0;
   double allocs_per_op = 0;
 };
 
-ChurnResult churn_engine(std::uint64_t timers, std::uint64_t ops) {
+ChurnResult run_churn(std::uint64_t timers, std::uint64_t ops) {
   sim::Simulator sim;
   std::uint64_t fired = 0;
   std::vector<sim::TimerId> ids(timers);
@@ -212,38 +132,6 @@ ChurnResult churn_engine(std::uint64_t timers, std::uint64_t ops) {
     }
   }
   sim.run();
-  const double elapsed = seconds_since(start);
-  const std::uint64_t allocs = alloc_count() - allocs_before;
-  const double total_ops = static_cast<double>(timers + ops + fired);
-  return {total_ops / elapsed, static_cast<double>(allocs) / total_ops};
-}
-
-ChurnResult churn_baseline(std::uint64_t timers, std::uint64_t ops) {
-  BaselineScheduler sched;
-  std::uint64_t fired = 0;
-  std::vector<std::uint64_t> ids(timers);
-  util::Rng rng(42);
-  const std::uint64_t allocs_before = alloc_count();
-  const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < timers; ++i) {
-    ids[i] = sched.schedule(
-        util::kSecond + static_cast<util::Duration>(rng.uniform_index(1000)) *
-                            util::kMillisecond,
-        [&fired] { ++fired; });
-  }
-  for (std::uint64_t op = 0; op < ops; ++op) {
-    const std::uint64_t i = rng.uniform_index(timers);
-    const auto delay = util::kSecond + static_cast<util::Duration>(
-                                           rng.uniform_index(1000)) *
-                                           util::kMillisecond;
-    if (rng.uniform_index(10) == 0) {
-      sched.cancel(ids[i]);
-      ids[i] = sched.schedule(delay, [&fired] { ++fired; });
-    } else {
-      ids[i] = sched.reschedule(ids[i], delay, [&fired] { ++fired; });
-    }
-  }
-  sched.run(UINT64_MAX);
   const double elapsed = seconds_since(start);
   const std::uint64_t allocs = alloc_count() - allocs_before;
   const double total_ops = static_cast<double>(timers + ops + fired);
@@ -453,12 +341,15 @@ PoolResult run_pool_malloc(std::uint64_t ops) {
 }
 
 // --- Workload 6: parallel sweep scaling ---------------------------------
-// The seed sweep run serially and on a worker pool. Two properties gate:
-// the outputs must be byte-identical (always), and on hardware with >= 8
-// threads the parallel run must be >= 3x faster (the gate stays disarmed
-// on smaller boxes rather than failing on machine size).
+// The metro seed sweep run serially and on a worker pool: each seed is a
+// whole diurnal NoCDN day, enough work per task for the pool to show its
+// scaling. Two properties gate: the outputs must be byte-identical
+// (always), and on hardware with >= 8 threads the parallel run must be
+// >= 3x faster (the gate stays disarmed on smaller boxes rather than
+// failing on machine size).
 
 struct SweepScalingResult {
+  sweep::Scenario scenario = sweep::Scenario::kMetro;
   unsigned hw_threads = 0;
   std::size_t jobs = 1;
   std::size_t seeds = 0;
@@ -469,7 +360,6 @@ struct SweepScalingResult {
   double speedup() const {
     return parallel_s > 0 ? serial_s / parallel_s : 0.0;
   }
-  bool speedup_gate_armed() const { return hw_threads >= 8; }
 };
 
 SweepScalingResult run_sweep_scaling(std::size_t n_seeds) {
@@ -481,11 +371,10 @@ SweepScalingResult run_sweep_scaling(std::size_t n_seeds) {
   r.seeds = seeds.size();
 
   auto start = Clock::now();
-  const auto serial = sweep::run_sweep(sweep::Scenario::kChaos, seeds, 1);
+  const auto serial = sweep::run_sweep(r.scenario, seeds, 1);
   r.serial_s = seconds_since(start);
   start = Clock::now();
-  const auto parallel =
-      sweep::run_sweep(sweep::Scenario::kChaos, seeds, r.jobs);
+  const auto parallel = sweep::run_sweep(r.scenario, seeds, r.jobs);
   r.parallel_s = seconds_since(start);
   r.identical = serial == parallel;
   return r;
@@ -703,7 +592,6 @@ struct ParallelMetroResult {
   std::uint64_t crossings = 0;
 
   double speedup_4() const { return wall_4 > 0 ? wall_1 / wall_4 : 0.0; }
-  bool speedup_gate_armed() const { return hw_threads >= 8; }
 };
 
 ParallelMetroResult run_parallel_metro(std::size_t homes, bool smoke) {
@@ -759,7 +647,6 @@ struct ParallelTcpMetroResult {
   double peak_bytes_per_home_4 = 0;  // live heap above the pre-day level
 
   double speedup_4() const { return wall_4 > 0 ? wall_1 / wall_4 : 0.0; }
-  bool speedup_gate_armed() const { return hw_threads >= 8; }
 };
 
 ParallelTcpMetroResult run_parallel_tcp_metro(std::size_t homes, bool smoke) {
@@ -797,55 +684,52 @@ ParallelTcpMetroResult run_parallel_tcp_metro(std::size_t homes, bool smoke) {
   return r;
 }
 
+/// One row of the `gates` block: the verdict `<name>_ok`, preceded by its
+/// threshold `limit_key` when it has one. A hardware row is a speedup that
+/// needs the threads to show: it also prints `<name>_armed`, and on a box
+/// without them it reads "skipped" and does not fail the run.
+struct Gate {
+  const char* name;
+  bool ok;
+  const char* limit_key = nullptr;
+  double limit = 0;
+  int decimals = 0;  // digits after the point when `limit` prints
+  bool hardware = false;
+
+  bool skipped(bool hw_armed) const { return hardware && !hw_armed; }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_CORE.json";
   bool smoke = false;
-  bool gate = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--no-gate") == 0) {
-      gate = false;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--out PATH] [--smoke] [--no-gate]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--out PATH] [--smoke]\n", argv[0]);
       return 2;
     }
   }
 
-  const std::uint64_t hot_events = smoke ? 200'000 : 2'000'000;
+  // The hot loop and the packet hops keep their full size on --smoke
+  // (~0.2 s and ~30 ms a run), so one preemption on a shared box shifts a
+  // rate by a tenth, not a third, and cannot sink an absolute floor.
+  const std::uint64_t hot_events = 2'000'000;
   const std::uint64_t churn_timers = smoke ? 1'024 : 4'096;
   const std::uint64_t churn_ops = smoke ? 100'000 : 1'000'000;
-  // Smoke runs too: at ~30 ms a run, one scheduler preemption on a shared
-  // box shifts a run's rate by about a tenth, not a third.
   const std::uint64_t hop_packets = 50'000;
   const std::size_t bulk_mb = smoke ? 8 : 64;
 
   std::fprintf(stderr, "[bench_core] scheduler hot loop (%llu events)...\n",
                static_cast<unsigned long long>(hot_events));
-  SchedulerResult baseline_hot;
-  {
-    BaselineScheduler sched;
-    std::uint64_t count = 0;
-    baseline_hot = run_hot_loop<BaselineScheduler, BaselineTicker>(
-        sched, hot_events, &count, 512);
-  }
-  SchedulerResult engine_hot;
-  {
-    sim::Simulator sim;
-    std::uint64_t count = 0;
-    engine_hot =
-        run_hot_loop<sim::Simulator, EngineTicker>(sim, hot_events, &count, 512);
-  }
-  const double speedup = engine_hot.events_per_sec / baseline_hot.events_per_sec;
+  const SchedulerResult hot = run_hot_loop(hot_events, 512);
 
   std::fprintf(stderr, "[bench_core] schedule/cancel/rearm churn...\n");
-  const ChurnResult baseline_churn = churn_baseline(churn_timers, churn_ops);
-  const ChurnResult engine_churn = churn_engine(churn_timers, churn_ops);
+  const ChurnResult churn = run_churn(churn_timers, churn_ops);
 
   constexpr int kBurstReps = 15;
   std::fprintf(stderr,
@@ -865,8 +749,8 @@ int main(int argc, char** argv) {
   const PoolResult pooled = run_pool_pooled(pool_ops);
   const PoolResult malloced = run_pool_malloc(pool_ops);
 
-  const std::size_t sweep_seeds = smoke ? 4 : 8;
-  std::fprintf(stderr, "[bench_core] sweep scaling (%zu chaos seeds)...\n",
+  const std::size_t sweep_seeds = smoke ? 8 : 16;
+  std::fprintf(stderr, "[bench_core] sweep scaling (%zu metro seeds)...\n",
                sweep_seeds);
   const SweepScalingResult sweep = run_sweep_scaling(sweep_seeds);
 
@@ -897,9 +781,18 @@ int main(int argc, char** argv) {
                pm_homes);
   const ParallelTcpMetroResult ptcp = run_parallel_tcp_metro(pm_homes, smoke);
 
+  // The engine boxes no closure and rearms in place; a scheduler that
+  // boxes closures or rearms by rescheduling reads 1.0 or more here.
+  constexpr double kSchedulerAllocsMax = 0.01;
+  // Twice the pre-overhaul scheduler's hot-loop rate on a shared 4-vCPU
+  // box (2.5 M events/s there; the engine runs 8-18 M on the same box).
+  constexpr double kSchedulerEventsPerSecMin = 5'000'000.0;
   // Link queues and in-flight FIFOs allocate nothing per packet, so what
   // remains is pool slabs, one per 256 packets in flight.
   constexpr double kPacketHopAllocsMax = 0.1;
+  // Burst servicing is a single-thread algorithmic win (one heap dispatch
+  // per burst instead of per packet), so this gate is armed everywhere.
+  constexpr double kBurstSpeedupMin = 1.2;
   // The smoke transfer (8 MiB) never fills the 16 MiB buffer; the full one
   // (64 MiB) overflows it and recovers through SACK, whose scoreboard and
   // reassembly map allocate per out-of-order segment (~0.48/segment).
@@ -907,72 +800,84 @@ int main(int argc, char** argv) {
   constexpr double kSweepSpeedupMin = 3.0;
   constexpr double kMetroHomesPerSecMin = 20'000.0;
   constexpr double kMetroBytesPerHomeMax = 4'096.0;
-  constexpr double kBurstSpeedupMin = 1.2;
+  constexpr double kIncrementalRatioMax = 0.10;
+  constexpr double kDirSuccessMin = 0.99;
   constexpr double kParallelMetroSpeedupMin = 2.5;
   constexpr double kParallelTcpMetroSpeedupMin = 2.0;
   constexpr double kTcpDayBytesPerHomeMax = 4'096.0;
-  const bool gate_speedup = speedup >= 2.0;
-  const bool gate_delivery = bulk.received == bulk.expected &&
-                             hop.delivered == hop_packets &&
-                             hop_pp.delivered == hop_packets;
-  const bool gate_hop_allocs = hop.allocs_per_packet <= kPacketHopAllocsMax &&
-                               hop_pp.allocs_per_packet <= kPacketHopAllocsMax;
-  // Burst servicing is a single-thread algorithmic win (one heap dispatch
-  // per burst instead of per packet), so this gate is armed everywhere.
-  const bool gate_burst_speedup = burst_speedup >= kBurstSpeedupMin;
-  const bool gate_bulk_allocs =
-      bulk.allocs_per_segment <= kTcpBulkAllocsMax;
-  const bool gate_sweep_identical = sweep.identical;
   // Speedup is a hardware property: armed only where 8 threads exist.
-  const bool gate_sweep_speedup =
-      !sweep.speedup_gate_armed() || sweep.speedup() >= kSweepSpeedupMin;
-  const bool gate_metro_build = metro.homes_per_sec >= kMetroHomesPerSecMin;
-  const bool gate_bytes_per_home =
-      metro.bytes_per_home > 0 && metro.bytes_per_home <= kMetroBytesPerHomeMax;
-  constexpr double kIncrementalRatioMax = 0.10;
-  const bool gate_dur_recovery =
-      dur.recovery.fingerprint_ok &&
-      dur.recovery.replayed ==
-          static_cast<std::uint64_t>(dur.recovery.log_records) &&
-      dur.recovery.replayed >= dur_records;
-  const bool gate_dur_compaction =
-      dur.compaction.bounded() && dur.compaction.fingerprint_ok;
-  const bool gate_dur_incremental =
-      dur.incremental.ratio() < kIncrementalRatioMax &&
-      dur.incremental.fingerprint_ok;
-  constexpr double kDirSuccessMin = 0.99;
-  const bool gate_dir_lookup =
-      dir.lookups > 0 && dir.success >= kDirSuccessMin;
-  const bool gate_dir_no_loss = dir.acked > 0 && dir.resolved == dir.acked;
-  const bool gate_dir_no_stale =
-      dir.silent_probes > 0 && dir.stale_served == 0;
-  const bool gate_dir_sync = dir.sync_rounds > 0 && dir.sync_applied > 0 &&
+  const bool hw_armed = std::thread::hardware_concurrency() >= 8;
+  const std::vector<Gate> gates = {
+      {"scheduler_allocs",
+       hot.allocs_per_event <= kSchedulerAllocsMax &&
+           churn.allocs_per_op <= kSchedulerAllocsMax,
+       "scheduler_allocs_max", kSchedulerAllocsMax, 2},
+      {"scheduler_events_per_sec",
+       hot.events_per_sec >= kSchedulerEventsPerSecMin,
+       "scheduler_events_per_sec_min", kSchedulerEventsPerSecMin, 0},
+      {"delivery", bulk.received == bulk.expected &&
+                       hop.delivered == hop_packets &&
+                       hop_pp.delivered == hop_packets},
+      {"packet_hop_allocs",
+       hop.allocs_per_packet <= kPacketHopAllocsMax &&
+           hop_pp.allocs_per_packet <= kPacketHopAllocsMax,
+       "packet_hop_allocs_max", kPacketHopAllocsMax, 2},
+      {"burst_speedup", burst_speedup >= kBurstSpeedupMin,
+       "burst_speedup_min", kBurstSpeedupMin, 1},
+      {"tcp_bulk_allocs", bulk.allocs_per_segment <= kTcpBulkAllocsMax,
+       "tcp_bulk_allocs_max", kTcpBulkAllocsMax, 2},
+      {"sweep_identical", sweep.identical},
+      {"sweep_speedup", sweep.speedup() >= kSweepSpeedupMin,
+       "sweep_speedup_min", kSweepSpeedupMin, 1, /*hardware=*/true},
+      {"metro_build", metro.homes_per_sec >= kMetroHomesPerSecMin,
+       "metro_homes_per_sec_min", kMetroHomesPerSecMin, 0},
+      {"bytes_per_home",
+       metro.bytes_per_home > 0 &&
+           metro.bytes_per_home <= kMetroBytesPerHomeMax,
+       "bytes_per_home_max", kMetroBytesPerHomeMax, 0},
+      {"durability_recovery",
+       dur.recovery.fingerprint_ok &&
+           dur.recovery.replayed ==
+               static_cast<std::uint64_t>(dur.recovery.log_records) &&
+           dur.recovery.replayed >= dur_records,
+       "durability_replay_min", static_cast<double>(dur_records), 0},
+      {"durability_compaction",
+       dur.compaction.bounded() && dur.compaction.fingerprint_ok},
+      {"durability_incremental",
+       dur.incremental.ratio() < kIncrementalRatioMax &&
+           dur.incremental.fingerprint_ok,
+       "incremental_ratio_max", kIncrementalRatioMax, 2},
+      {"directory_lookup", dir.lookups > 0 && dir.success >= kDirSuccessMin,
+       "directory_success_min", kDirSuccessMin, 2},
+      {"directory_no_loss", dir.acked > 0 && dir.resolved == dir.acked},
+      {"directory_no_stale", dir.silent_probes > 0 && dir.stale_served == 0},
+      {"directory_sync", dir.sync_rounds > 0 && dir.sync_applied > 0 &&
                              dir.crashes == 1 && dir.restarts == 1 &&
-                             dir.partitions == 1 && dir.partition_heals == 1;
-  const bool gate_pm_identical = pmetro.identical && pmetro.requests > 0 &&
-                                 pmetro.rx_bytes > 0 && pmetro.crossings > 0;
-  const bool gate_pm_speedup = !pmetro.speedup_gate_armed() ||
-                               pmetro.speedup_4() >= kParallelMetroSpeedupMin;
-  const bool gate_ptcp_identical = ptcp.identical && ptcp.completed > 0 &&
-                                   ptcp.mptcp_sessions > 0 &&
-                                   ptcp.rx_bytes > 0 && ptcp.crossings > 0;
-  const bool gate_ptcp_speedup =
-      !ptcp.speedup_gate_armed() ||
-      ptcp.speedup_4() >= kParallelTcpMetroSpeedupMin;
-  const bool gate_ptcp_bytes = ptcp.peak_bytes_per_home_4 > 0 &&
-                               ptcp.peak_bytes_per_home_4 <=
-                                   kTcpDayBytesPerHomeMax;
-  const bool gates_passed = gate_speedup && gate_delivery &&
-                            gate_hop_allocs && gate_bulk_allocs &&
-                            gate_burst_speedup &&
-                            gate_sweep_identical && gate_sweep_speedup &&
-                            gate_metro_build && gate_bytes_per_home &&
-                            gate_dur_recovery && gate_dur_compaction &&
-                            gate_dur_incremental && gate_dir_lookup &&
-                            gate_dir_no_loss && gate_dir_no_stale &&
-                            gate_dir_sync && gate_pm_identical &&
-                            gate_pm_speedup && gate_ptcp_identical &&
-                            gate_ptcp_speedup && gate_ptcp_bytes;
+                             dir.partitions == 1 &&
+                             dir.partition_heals == 1},
+      {"parallel_metro_identical", pmetro.identical && pmetro.requests > 0 &&
+                                       pmetro.rx_bytes > 0 &&
+                                       pmetro.crossings > 0},
+      {"parallel_metro_speedup",
+       pmetro.speedup_4() >= kParallelMetroSpeedupMin,
+       "parallel_metro_speedup_min", kParallelMetroSpeedupMin, 1,
+       /*hardware=*/true},
+      {"parallel_tcp_metro_identical",
+       ptcp.identical && ptcp.completed > 0 && ptcp.mptcp_sessions > 0 &&
+           ptcp.rx_bytes > 0 && ptcp.crossings > 0},
+      {"parallel_tcp_metro_speedup",
+       ptcp.speedup_4() >= kParallelTcpMetroSpeedupMin,
+       "parallel_tcp_metro_speedup_min", kParallelTcpMetroSpeedupMin, 1,
+       /*hardware=*/true},
+      {"parallel_tcp_metro_bytes_per_home",
+       ptcp.peak_bytes_per_home_4 > 0 &&
+           ptcp.peak_bytes_per_home_4 <= kTcpDayBytesPerHomeMax,
+       "parallel_tcp_metro_bytes_per_home_max", kTcpDayBytesPerHomeMax, 0},
+  };
+  const bool gates_passed =
+      std::all_of(gates.begin(), gates.end(), [&](const Gate& g) {
+        return g.ok || g.skipped(hw_armed);
+      });
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -985,25 +890,15 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"scheduler\": {\n");
   std::fprintf(out, "    \"events\": %llu,\n",
                static_cast<unsigned long long>(hot_events));
-  std::fprintf(out, "    \"baseline_events_per_sec\": %.0f,\n",
-               baseline_hot.events_per_sec);
   std::fprintf(out, "    \"engine_events_per_sec\": %.0f,\n",
-               engine_hot.events_per_sec);
-  std::fprintf(out, "    \"speedup\": %.3f,\n", speedup);
-  std::fprintf(out, "    \"baseline_allocs_per_event\": %.3f,\n",
-               baseline_hot.allocs_per_event);
+               hot.events_per_sec);
   std::fprintf(out, "    \"engine_allocs_per_event\": %.3f\n",
-               engine_hot.allocs_per_event);
+               hot.allocs_per_event);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"churn\": {\n");
-  std::fprintf(out, "    \"baseline_ops_per_sec\": %.0f,\n",
-               baseline_churn.ops_per_sec);
-  std::fprintf(out, "    \"engine_ops_per_sec\": %.0f,\n",
-               engine_churn.ops_per_sec);
-  std::fprintf(out, "    \"baseline_allocs_per_op\": %.3f,\n",
-               baseline_churn.allocs_per_op);
+  std::fprintf(out, "    \"engine_ops_per_sec\": %.0f,\n", churn.ops_per_sec);
   std::fprintf(out, "    \"engine_allocs_per_op\": %.3f\n",
-               engine_churn.allocs_per_op);
+               churn.allocs_per_op);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"packet_hop\": {\n");
   std::fprintf(out, "    \"packets\": %llu,\n",
@@ -1046,7 +941,8 @@ int main(int argc, char** argv) {
                malloced.allocs_per_op);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"sweep_scaling\": {\n");
-  std::fprintf(out, "    \"scenario\": \"chaos\",\n");
+  std::fprintf(out, "    \"scenario\": \"%s\",\n",
+               sweep::to_string(sweep.scenario));
   std::fprintf(out, "    \"seeds\": %zu,\n", sweep.seeds);
   std::fprintf(out, "    \"jobs\": %zu,\n", sweep.jobs);
   std::fprintf(out, "    \"hw_threads\": %u,\n", sweep.hw_threads);
@@ -1158,100 +1054,33 @@ int main(int argc, char** argv) {
                ptcp.peak_bytes_per_home_4);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"gates\": {\n");
-  std::fprintf(out, "    \"scheduler_speedup_min\": 2.0,\n");
-  std::fprintf(out, "    \"scheduler_speedup_ok\": %s,\n",
-               gate_speedup ? "true" : "false");
-  std::fprintf(out, "    \"delivery_ok\": %s,\n",
-               gate_delivery ? "true" : "false");
-  std::fprintf(out, "    \"packet_hop_allocs_max\": %.2f,\n",
-               kPacketHopAllocsMax);
-  std::fprintf(out, "    \"packet_hop_allocs_ok\": %s,\n",
-               gate_hop_allocs ? "true" : "false");
-  std::fprintf(out, "    \"burst_speedup_min\": %.1f,\n", kBurstSpeedupMin);
-  std::fprintf(out, "    \"burst_speedup_ok\": %s,\n",
-               gate_burst_speedup ? "true" : "false");
-  std::fprintf(out, "    \"tcp_bulk_allocs_max\": %.2f,\n",
-               kTcpBulkAllocsMax);
-  std::fprintf(out, "    \"tcp_bulk_allocs_ok\": %s,\n",
-               gate_bulk_allocs ? "true" : "false");
-  std::fprintf(out, "    \"sweep_identical_ok\": %s,\n",
-               gate_sweep_identical ? "true" : "false");
-  std::fprintf(out, "    \"sweep_speedup_min\": %.1f,\n", kSweepSpeedupMin);
-  std::fprintf(out, "    \"sweep_speedup_armed\": %s,\n",
-               sweep.speedup_gate_armed() ? "true" : "false");
-  // Hardware-gated checks record the explicit "skipped" marker when
-  // disarmed — a committed BENCH_CORE.json from a small box must never
-  // read as a speedup pass (ci.sh greps for true-or-skipped).
-  std::fprintf(out, "    \"sweep_speedup_ok\": %s,\n",
-               !sweep.speedup_gate_armed()
-                   ? "\"skipped\""
-                   : (gate_sweep_speedup ? "true" : "false"));
-  std::fprintf(out, "    \"metro_homes_per_sec_min\": %.0f,\n",
-               kMetroHomesPerSecMin);
-  std::fprintf(out, "    \"metro_build_ok\": %s,\n",
-               gate_metro_build ? "true" : "false");
-  std::fprintf(out, "    \"bytes_per_home_max\": %.0f,\n",
-               kMetroBytesPerHomeMax);
-  std::fprintf(out, "    \"bytes_per_home_ok\": %s,\n",
-               gate_bytes_per_home ? "true" : "false");
-  std::fprintf(out, "    \"durability_replay_min\": %zu,\n", dur_records);
-  std::fprintf(out, "    \"durability_recovery_ok\": %s,\n",
-               gate_dur_recovery ? "true" : "false");
-  std::fprintf(out, "    \"durability_compaction_ok\": %s,\n",
-               gate_dur_compaction ? "true" : "false");
-  std::fprintf(out, "    \"incremental_ratio_max\": %.2f,\n",
-               kIncrementalRatioMax);
-  std::fprintf(out, "    \"durability_incremental_ok\": %s,\n",
-               gate_dur_incremental ? "true" : "false");
-  std::fprintf(out, "    \"directory_success_min\": %.2f,\n", kDirSuccessMin);
-  std::fprintf(out, "    \"directory_lookup_ok\": %s,\n",
-               gate_dir_lookup ? "true" : "false");
-  std::fprintf(out, "    \"directory_no_loss_ok\": %s,\n",
-               gate_dir_no_loss ? "true" : "false");
-  std::fprintf(out, "    \"directory_no_stale_ok\": %s,\n",
-               gate_dir_no_stale ? "true" : "false");
-  std::fprintf(out, "    \"directory_sync_ok\": %s,\n",
-               gate_dir_sync ? "true" : "false");
-  std::fprintf(out, "    \"parallel_metro_identical_ok\": %s,\n",
-               gate_pm_identical ? "true" : "false");
-  std::fprintf(out, "    \"parallel_metro_speedup_min\": %.1f,\n",
-               kParallelMetroSpeedupMin);
-  std::fprintf(out, "    \"parallel_metro_speedup_armed\": %s,\n",
-               pmetro.speedup_gate_armed() ? "true" : "false");
-  std::fprintf(out, "    \"parallel_metro_speedup_ok\": %s,\n",
-               !pmetro.speedup_gate_armed()
-                   ? "\"skipped\""
-                   : (gate_pm_speedup ? "true" : "false"));
-  std::fprintf(out, "    \"parallel_tcp_metro_identical_ok\": %s,\n",
-               gate_ptcp_identical ? "true" : "false");
-  std::fprintf(out, "    \"parallel_tcp_metro_speedup_min\": %.1f,\n",
-               kParallelTcpMetroSpeedupMin);
-  std::fprintf(out, "    \"parallel_tcp_metro_speedup_armed\": %s,\n",
-               ptcp.speedup_gate_armed() ? "true" : "false");
-  std::fprintf(out, "    \"parallel_tcp_metro_speedup_ok\": %s,\n",
-               !ptcp.speedup_gate_armed()
-                   ? "\"skipped\""
-                   : (gate_ptcp_speedup ? "true" : "false"));
-  std::fprintf(out, "    \"parallel_tcp_metro_bytes_per_home_max\": %.0f,\n",
-               kTcpDayBytesPerHomeMax);
-  std::fprintf(out, "    \"parallel_tcp_metro_bytes_per_home_ok\": %s\n",
-               gate_ptcp_bytes ? "true" : "false");
+  for (const Gate& g : gates) {
+    if (g.limit_key != nullptr) {
+      std::fprintf(out, "    \"%s\": %.*f,\n", g.limit_key, g.decimals,
+                   g.limit);
+    }
+    if (g.hardware) {
+      std::fprintf(out, "    \"%s_armed\": %s,\n", g.name,
+                   hw_armed ? "true" : "false");
+    }
+    // A committed BENCH_CORE.json from a small box must never read as a
+    // speedup pass, so a disarmed gate says "skipped" (ci.sh greps for
+    // true-or-skipped).
+    std::fprintf(out, "    \"%s_ok\": %s%s\n", g.name,
+                 g.skipped(hw_armed) ? "\"skipped\""
+                                     : (g.ok ? "true" : "false"),
+                 &g == &gates.back() ? "" : ",");
+  }
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"gates_passed\": %s\n", gates_passed ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);
 
   std::fprintf(stderr,
-               "[bench_core] scheduler: engine %.2fM ev/s vs baseline %.2fM "
-               "ev/s (%.2fx, allocs/event %.2f -> %.2f)\n",
-               engine_hot.events_per_sec / 1e6,
-               baseline_hot.events_per_sec / 1e6, speedup,
-               baseline_hot.allocs_per_event, engine_hot.allocs_per_event);
-  std::fprintf(stderr,
-               "[bench_core] churn: engine %.2fM ops/s vs baseline %.2fM "
-               "ops/s (allocs/op %.2f -> %.2f)\n",
-               engine_churn.ops_per_sec / 1e6, baseline_churn.ops_per_sec / 1e6,
-               baseline_churn.allocs_per_op, engine_churn.allocs_per_op);
+               "[bench_core] scheduler: %.2fM ev/s, %.2f allocs/event\n",
+               hot.events_per_sec / 1e6, hot.allocs_per_event);
+  std::fprintf(stderr, "[bench_core] churn: %.2fM ops/s, %.2f allocs/op\n",
+               churn.ops_per_sec / 1e6, churn.allocs_per_op);
   std::fprintf(stderr,
                "[bench_core] packet hop: burst %.2fM pkts/s vs per-packet "
                "%.2fM pkts/s (median %.2fx of %d pairs, %.2f-%.2f), "
@@ -1311,24 +1140,20 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(dir.client_timeouts));
   std::fprintf(stderr,
                "[bench_core] parallel metro: %zu homes, walls %.2f/%.2f/%.2f s "
-               "(1/2/4 workers, %.2fx at 4), identical=%s, speedup gate %s\n",
+               "(1/2/4 workers, %.2fx at 4), identical=%s\n",
                pmetro.homes, pmetro.wall_1, pmetro.wall_2, pmetro.wall_4,
-               pmetro.speedup_4(), pmetro.identical ? "yes" : "NO",
-               pmetro.speedup_gate_armed() ? "armed" : "skipped");
+               pmetro.speedup_4(), pmetro.identical ? "yes" : "NO");
   std::fprintf(stderr,
                "[bench_core] parallel TCP metro: %zu homes, walls "
                "%.2f/%.2f/%.2f s (1/2/4 workers, %.2fx at 4), identical=%s, "
-               "%llu conns (%llu mptcp), %.0f peak bytes/home at 4, "
-               "speedup gate %s\n",
+               "%llu conns (%llu mptcp), %.0f peak bytes/home at 4\n",
                ptcp.homes, ptcp.wall_1, ptcp.wall_2, ptcp.wall_4,
                ptcp.speedup_4(), ptcp.identical ? "yes" : "NO",
                static_cast<unsigned long long>(ptcp.conns),
                static_cast<unsigned long long>(ptcp.mptcp_sessions),
-               ptcp.peak_bytes_per_home_4,
-               ptcp.speedup_gate_armed() ? "armed" : "skipped");
+               ptcp.peak_bytes_per_home_4);
   std::fprintf(stderr, "[bench_core] gates %s -> %s\n",
                gates_passed ? "PASSED" : "FAILED", out_path.c_str());
 
-  if (gate && !gates_passed) return 1;
-  return 0;
+  return gates_passed ? 0 : 1;
 }

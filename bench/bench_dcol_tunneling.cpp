@@ -177,5 +177,5 @@ int main() {
               "packets; 36 B is added to every encapsulated packet, acks "
               "included (see net.Packet.WireSizes for the exact "
               "per-packet check).\n");
-  return 0;
+  return exit_status();
 }

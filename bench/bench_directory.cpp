@@ -30,7 +30,7 @@
 //   g_identical  a small same-seed day, run twice, reports byte-identical
 //
 // All stdout is deterministic (same seed => byte-identical; CI diffs two
-// runs). Wall timings go to stderr. Flags: --homes N, --smoke, --no-gate.
+// runs). Wall timings go to stderr. Flags: --homes N, --smoke.
 
 #include <chrono>
 #include <cstdio>
@@ -168,17 +168,13 @@ double seconds_since(Clock::time_point start) {
 int main(int argc, char** argv) {
   std::size_t homes = 0;
   bool smoke = false;
-  bool gate = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--homes") == 0 && i + 1 < argc) {
       homes = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--no-gate") == 0) {
-      gate = false;
     } else {
-      std::fprintf(stderr, "usage: %s [--homes N] [--smoke] [--no-gate]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--homes N] [--smoke]\n", argv[0]);
       return 2;
     }
   }
@@ -241,6 +237,5 @@ int main(int argc, char** argv) {
       g_chaos ? "ok" : "FAIL", g_identical ? "ok" : "FAIL",
       passed ? "PASSED" : "FAILED");
 
-  if (gate && !passed) return 1;
-  return 0;
+  return passed ? 0 : 1;
 }

@@ -18,7 +18,7 @@
 // whole-object bytes. All stdout is deterministic (CI diffs two runs);
 // wall timings go to stderr.
 //
-// Flags: --smoke (small sizes for CI), --no-gate (report but exit 0).
+// Flags: --smoke (small sizes for CI).
 
 #include <cstdio>
 #include <cstring>
@@ -33,14 +33,11 @@ using namespace hpop::bench;
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool gate = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--no-gate") == 0) {
-      gate = false;
     } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--no-gate]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
       return 2;
     }
   }
@@ -121,22 +118,16 @@ int main(int argc, char** argv) {
               day_files, inc_table.render().c_str());
 
   const std::uint64_t replay_min = smoke ? 20'000 : 100'000;
-  const bool gate_replay = replayed_total >= replay_min && recovery_ok;
-  const bool gate_compaction = comp.bounded() && comp.fingerprint_ok;
-  const bool gate_incremental = inc.ratio() < 0.10 && inc.fingerprint_ok;
-
   verdict("recovery replay, states match",
           ">= " + std::to_string(replay_min) + " records",
           std::to_string(replayed_total) + " records",
-          gate_replay);
+          replayed_total >= replay_min && recovery_ok);
   verdict("compaction bounds recovery",
           "<= tail+1 = " + std::to_string(tail + 1),
           std::to_string(comp.replayed_after) + " replayed",
-          gate_compaction);
+          comp.bounded() && comp.fingerprint_ok);
   verdict("incremental ships < 10% of full", "< 10%",
-          fmt(inc.ratio() * 100, 1) + "%", gate_incremental);
-
-  const bool ok = gate_replay && gate_compaction && gate_incremental;
-  if (gate && !ok) return 1;
-  return 0;
+          fmt(inc.ratio() * 100, 1) + "%",
+          inc.ratio() < 0.10 && inc.fingerprint_ok);
+  return exit_status();
 }

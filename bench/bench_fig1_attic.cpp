@@ -219,5 +219,5 @@ int main() {
                 " blocked",
             a_ok == 1 && b_blocked == 1);
   }
-  return 0;
+  return exit_status();
 }

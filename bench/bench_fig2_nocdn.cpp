@@ -355,5 +355,5 @@ int main() {
   std::printf("=> trust-weighted selection starves the corrupt peer after "
               "its first offences; proximity wins on latency when all "
               "peers are honest.\n");
-  return 0;
+  return exit_status();
 }

@@ -213,5 +213,5 @@ int main() {
   std::printf("%s", sched.render().c_str());
   std::printf("=> transparent to the server throughout: it only ever saw "
               "MPTCP subflows (Fig. 3).\n");
-  return 0;
+  return exit_status();
 }

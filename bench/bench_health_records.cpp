@@ -159,5 +159,5 @@ int main() {
           fmt(headline.conventional_hours * 3600e3 / headline.attic_ms, 0) +
               "x",
           headline.conventional_hours * 3600e3 / headline.attic_ms > 1e4);
-  return 0;
+  return exit_status();
 }

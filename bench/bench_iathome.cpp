@@ -218,5 +218,5 @@ int main() {
               fmt(peak_smooth / std::max(mean_smooth, 0.001), 1) + "x",
           peak_smooth / std::max(mean_smooth, 0.001) <
               peak_raw / std::max(mean_raw, 0.001));
-  return 0;
+  return exit_status();
 }

@@ -8,7 +8,6 @@
 
 #include "net/network.hpp"
 #include "net/topology.hpp"
-#include "psim/day.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transport/mux.hpp"
 #include "transport/payloads.hpp"
@@ -319,29 +318,6 @@ void BM_NatTranslateBurst(benchmark::State& state) {
                           static_cast<std::int64_t>(kPackets));
 }
 BENCHMARK(BM_NatTranslateBurst)->Unit(benchmark::kMillisecond);
-
-// A full barrier-epoch cycle of the sharded metro day: builds a small
-// 4-PoP world once per iteration and runs one compressed day at the given
-// worker count. items = barrier epochs, so the per-epoch cost (min-clock
-// scan, generation bump to the persistent workers, arrival wait, crossing
-// drain) is the number to watch — it is the serial fraction that bounds
-// shard scaling.
-void BM_BarrierEpoch(benchmark::State& state) {
-  psim::DayConfig cfg;
-  cfg.homes = 2'000;
-  cfg.workers = static_cast<std::size_t>(state.range(0));
-  cfg.day = 2 * util::kSecond;
-  cfg.base_rate_per_home = 0.2;
-  std::uint64_t epochs = 0;
-  for (auto _ : state) {
-    const psim::DayResult r = psim::run_day(cfg);
-    epochs += r.epochs;
-    benchmark::DoNotOptimize(r.rx_bytes);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(epochs));
-}
-BENCHMARK(BM_BarrierEpoch)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
 
 }  // namespace
 

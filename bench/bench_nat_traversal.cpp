@@ -189,5 +189,5 @@ int main() {
           fmt(outcomes[3].fetch_ms, 1) + " vs " + fmt(outcomes[0].fetch_ms, 1) +
               " ms",
           relay_slower);
-  return 0;
+  return exit_status();
 }

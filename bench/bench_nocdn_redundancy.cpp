@@ -174,5 +174,5 @@ int main() {
           worst_fallback[1][0] <= worst_fallback[0][0] * 1.05);
   std::printf("=> every view still completes (hash-verified fallback), and "
               "chunking bounds how much any single peer's failure costs.\n");
-  return 0;
+  return exit_status();
 }

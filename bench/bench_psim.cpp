@@ -18,7 +18,7 @@
 // only, so CI can diff a --workers 1 run against a --workers 4 run. Wall
 // times go to stderr.
 //
-// Flags: --workers N (default 4), --homes N, --seed S, --smoke, --no-gate.
+// Flags: --workers N (default 4), --homes N, --seed S, --smoke.
 
 #include <cinttypes>
 #include <cstdio>
@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   std::size_t homes = 10'000;
   std::uint64_t seed = 42;
   bool smoke = false;
-  bool gate = true;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--workers") && i + 1 < argc) {
       workers = std::strtoull(argv[++i], nullptr, 10);
@@ -47,8 +46,11 @@ int main(int argc, char** argv) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (!std::strcmp(argv[i], "--smoke")) {
       smoke = true;
-    } else if (!std::strcmp(argv[i], "--no-gate")) {
-      gate = false;
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s [--workers N] [--homes N] [--seed S] [--smoke]\n",
+                   argv[0]);
+      return 2;
     }
   }
 
@@ -110,8 +112,8 @@ int main(int argc, char** argv) {
   std::printf("gate tcp_traffic_flowed=%s\n", tcp_traffic_ok ? "ok" : "FAIL");
   std::printf("gate tcp_recovery_fired=%s\n", tcp_recovery_ok ? "ok" : "FAIL");
 
-  if (gate && !(identical && chaos_ok && traffic_ok && tcp_identical &&
-                tcp_chaos_ok && tcp_traffic_ok && tcp_recovery_ok)) {
+  if (!(identical && chaos_ok && traffic_ok && tcp_identical && tcp_chaos_ok &&
+        tcp_traffic_ok && tcp_recovery_ok)) {
     std::fprintf(stderr, "bench_psim: gate failure\n");
     return 1;
   }

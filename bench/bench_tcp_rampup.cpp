@@ -138,5 +138,5 @@ int main() {
   std::printf("=> \"realizing high speed transfer is not as easy as simply "
               "adding raw capacity\" (§IV-D): small flows never leave slow "
               "start — the Internet@home rationale.\n");
-  return 0;
+  return exit_status();
 }

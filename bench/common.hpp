@@ -6,6 +6,8 @@
 //   - a header naming the experiment and the paper's claim,
 //   - a uniform table of measured rows,
 //   - a PAPER-vs-MEASURED verdict line per headline number.
+// A bench that prints verdicts returns exit_status() from main, so one
+// failed verdict fails the run.
 
 #include <cstdio>
 #include <string>
@@ -23,12 +25,19 @@ inline void header(const std::string& id, const std::string& title,
   std::printf("================================================================\n");
 }
 
+/// Verdicts that have failed so far in this process.
+inline int failed_verdicts = 0;
+
 inline void verdict(const std::string& what, const std::string& paper,
                     const std::string& measured, bool holds) {
+  if (!holds) ++failed_verdicts;
   std::printf("[%s] %-38s paper: %-18s measured: %-18s\n",
               holds ? "OK" : "!!", what.c_str(), paper.c_str(),
               measured.c_str());
 }
+
+/// main's return value for a verdict bench: 1 once any verdict failed.
+inline int exit_status() { return failed_verdicts == 0 ? 0 : 1; }
 
 inline std::string fmt(double v, int precision = 2) {
   return util::Table::fmt(v, precision);

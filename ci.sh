@@ -28,7 +28,8 @@ ctest --test-dir build --output-on-failure --timeout 120
 
 # Fixed-seed determinism gate: the chaos suite's same-seed scenario must be
 # byte-identical in-process, and a full seeded chaos run must print the same
-# report across two separate processes.
+# report across two separate processes. Like every verdict bench,
+# bench_chaos_recovery exits non-zero when a verdict fails.
 ./build/tests/test_chaos \
   --gtest_filter='ChaosScenario.SameSeedChaosRunsAreByteIdentical'
 same_stdout chaos_run ./build/bench/bench_chaos_recovery \
@@ -123,14 +124,14 @@ same_stdout metro_run './build/bench/bench_metro --smoke' \
   './build/bench/bench_metro --smoke'
 cat /tmp/metro_run.0
 
-# Hot-path perf gate (E15, smoke scale): bench_core compares the event
-# engine against an in-process replica of the pre-overhaul scheduler and
-# exits non-zero unless the engine holds a >= 2x events/sec lead, every
+# Hot-path perf gate (E15, smoke scale): bench_core exits non-zero unless
+# the event engine allocates nothing per event on its hot loop or per op
+# on its timer churn and runs the hot loop at >= 5 M events/s, every
 # workload delivers in full, the data plane stays within its allocation
 # budgets (packet hop <= 0.1 alloc/pkt; TCP bulk <= 0.1 alloc/segment on
 # the smoke run, <= 0.6 on the full run, whose transfer recovers from
 # loss through SACK), burst link service holds a >= 1.2x median speedup
-# over interleaved A/B pairs, the sweep-scaling section is byte-identical
+# over interleaved A/B pairs, the metro seed sweep is byte-identical
 # (plus >= 3x faster where 8 hardware threads exist), and the parallel TCP
 # metro section is byte-identical across 1/2/4 workers and stays within
 # its peak live bytes per home at 4 workers. The committed
@@ -138,6 +139,9 @@ cat /tmp/metro_run.0
 ./build/bench/bench_core --smoke --out /tmp/BENCH_CORE.json
 for gate_file in /tmp/BENCH_CORE.json BENCH_CORE.json; do
   grep -q '"gates_passed": true' "$gate_file"
+  grep -q '"scheduler_allocs_ok": true' "$gate_file"
+  grep -q '"scheduler_events_per_sec_ok": true' "$gate_file"
+  grep -q '"delivery_ok": true' "$gate_file"
   grep -q '"packet_hop_allocs_ok": true' "$gate_file"
   grep -q '"tcp_bulk_allocs_ok": true' "$gate_file"
   grep -q '"sweep_identical_ok": true' "$gate_file"

@@ -23,6 +23,12 @@ namespace hpop::psim {
 
 namespace {
 
+/// The day's catalog (objects, Zipf skew) and how many flash crowds its
+/// event plan draws.
+constexpr std::size_t kCatalogObjects = 2'000;
+constexpr double kZipfSkew = 0.9;
+constexpr std::size_t kFlashCrowds = 2;
+
 /// What a request asks for. It rides the request as its (immutable)
 /// message — the UDP day's datagram, the TCP day's stream, where it is a
 /// 16-byte framed payload — so the origin needs no per-request state.
@@ -97,9 +103,6 @@ struct ShardedDay {
       eng->add_partition();
     }
 
-    for (const auto& link : net.links()) {
-      link->set_burst_limit(cfg.burst_limit);
-    }
     for (std::size_t h = 0; h < topo.homes.size(); ++h) {
       eng->bind_local(topo.access_links[h], plan.of_home(topo, h));
     }
@@ -126,10 +129,10 @@ struct ShardedDay {
     topo.origins[0]->bind_shard(eng->sim(core_p));
 
     metro::DiurnalCurve curve = metro::DiurnalCurve::residential(cfg.day);
-    metro::ZipfCatalog catalog(cfg.catalog_objects, cfg.zipf_skew);
+    metro::ZipfCatalog catalog(kCatalogObjects, kZipfSkew);
     util::Rng plan_rng = rng.fork();
     metro::EventPlan eplan = metro::EventPlan::generate(
-        topo, catalog, cfg.day, cfg.flash_crowds, /*outages=*/0, plan_rng);
+        topo, catalog, cfg.day, kFlashCrowds, /*outages=*/0, plan_rng);
     model = std::make_unique<metro::WorkloadModel>(curve, catalog, eplan,
                                                    cfg.base_rate_per_home);
 

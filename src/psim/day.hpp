@@ -23,10 +23,6 @@ struct DayConfig {
   util::Duration day = 20 * util::kSecond;
   /// Requests/sec per home at diurnal multiplier 1.0.
   double base_rate_per_home = 0.05;
-  std::size_t catalog_objects = 2'000;
-  double zipf_skew = 0.9;
-  std::size_t flash_crowds = 2;
-  int burst_limit = 8;
   /// Adds a DSLAM crash in PoP 1's shard and a partition cut inside PoP
   /// 2's shard (skipped when the topology has fewer than 3 PoPs).
   bool chaos = true;
