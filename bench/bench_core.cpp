@@ -341,9 +341,9 @@ PoolResult run_pool_malloc(std::uint64_t ops) {
 }
 
 // --- Workload 6: parallel sweep scaling ---------------------------------
-// The metro seed sweep run serially and on a worker pool: each seed is a
-// whole diurnal NoCDN day, enough work per task for the pool to show its
-// scaling. Two properties gate: the outputs must be byte-identical
+// The metro seed sweep run serially and on worker threads: each seed is a
+// whole diurnal NoCDN day, enough work per seed for the threads to show
+// their scaling. Two properties gate: the outputs must be byte-identical
 // (always), and on hardware with >= 8 threads the parallel run must be
 // >= 3x faster (the gate stays disarmed on smaller boxes rather than
 // failing on machine size).

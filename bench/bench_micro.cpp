@@ -246,10 +246,9 @@ BENCHMARK(BM_SimulatedTcpTransfer)->Arg(1)->Arg(8)->Unit(
     benchmark::kMillisecond);
 
 // NAT idle-timeout sweep: N distinct inside flows create N mappings, then
-// the periodic sweep evicts them all once the timeout lapses. With the
-// expiry-ordered intrusive list each sweep is O(expired), so items/s here
-// is mapping churn (create + refresh-order bookkeeping + evict), not a
-// full-table walk per sweep period. items = mappings evicted.
+// the periodic sweep evicts them all once the timeout lapses. Each sweep
+// walks the whole table, so items/s is mapping churn (create + evict) plus
+// one table walk per sweep period. items = mappings evicted.
 void BM_NatSweepEviction(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -282,10 +281,10 @@ void BM_NatSweepEviction(benchmark::State& state) {
 }
 BENCHMARK(BM_NatSweepEviction)->Arg(256)->Arg(4096);
 
-// The NAT translation hot path under burst drain: one flow, back-to-back
-// datagrams. After the first packet of a burst misses, the direct-mapped
-// flow cache turns every later translation into a tag check + timeout
-// refresh instead of a map walk. items = packets translated.
+// NAT translation under burst drain: one flow, back-to-back datagrams,
+// each one a static-forward scan plus a mapping-table lookup and refresh.
+// The metro days have no NAT, so this times the legacy home-NAT path only.
+// items = packets translated.
 void BM_NatTranslateBurst(benchmark::State& state) {
   const std::uint64_t kPackets = 20'000;
   for (auto _ : state) {

@@ -1,5 +1,5 @@
 // Parallel seed-sweep driver. Runs one scenario across a list of seeds on
-// a worker pool (one Simulator per task, nothing shared between tasks) and
+// worker threads (one Simulator per seed, nothing shared between seeds) and
 // prints one report line per seed to stdout, in seed order. The contract
 // CI enforces: stdout is byte-identical for any --jobs value, so
 //

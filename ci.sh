@@ -3,7 +3,7 @@
 # an ASan+UBSan tree (HPOP_SANITIZE=ON), and a TSan tree
 # (HPOP_SANITIZE=thread). The sanitized runs catch the memory, UB, and
 # data-race bugs the deterministic simulator would otherwise mask; TSan
-# specifically exercises the parallel sweep runner's locking.
+# specifically exercises the parallel sweep runner's threads.
 set -e
 
 # same_stdout LABEL CMD CMD...: runs each command and fails unless every
@@ -195,8 +195,8 @@ ctest --test-dir build-asan --output-on-failure --timeout 240
 
 # TSan lane: the whole tier-1 suite once under ThreadSanitizer. The
 # simulator itself is single-threaded; this lane guards the thread_local
-# telemetry/packet-id state, the Symbol intern table, and the sweep
-# runner's thread pool against races as the parallel surface grows.
+# telemetry and log-clock state, the Symbol intern table, and the sweep
+# runner's seed counter against races as the parallel surface grows.
 cmake -B build-tsan -S . -DHPOP_SANITIZE=thread
 cmake --build build-tsan -j
 ctest --test-dir build-tsan --output-on-failure --timeout 480

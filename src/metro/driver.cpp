@@ -5,6 +5,18 @@
 
 namespace hpop::metro {
 
+namespace {
+/// The one content provider every metro day serves.
+constexpr const char* kProvider = "metro-news";
+/// Body size of each attic record sync (PUT and read-back GET).
+constexpr std::size_t kAtticRecordBytes = 2048;
+/// How often each NoCDN peer uploads its signed usage records.
+constexpr util::Duration kUsageUploadInterval = 10 * util::kSecond;
+/// Probability an arrival also probes a random silent household (stale
+/// detection); renewing households are looked up on every arrival.
+constexpr double kDirSilentProbeP = 0.25;
+}  // namespace
+
 MetroDriver::MetroDriver(MetroTopology& topo, WorkloadModel model,
                          MetroDriverConfig config, util::Rng rng)
     : topo_(topo),
@@ -51,7 +63,7 @@ void MetroDriver::start() {
   // Origin on the first IXP-side host.
   origin_mux_ = std::make_unique<transport::TransportMux>(*topo_.origins.at(0));
   nocdn::OriginConfig ocfg;
-  ocfg.provider = config_.provider;
+  ocfg.provider = kProvider;
   origin_server_ = std::make_unique<nocdn::OriginServer>(*origin_mux_, ocfg,
                                                          rng_.fork());
   const ZipfCatalog& catalog = model_.catalog();
@@ -77,8 +89,8 @@ void MetroDriver::start() {
         std::make_unique<nocdn::PeerProxy>(*slot.mux, 8080, rng_.fork());
     const std::uint64_t id =
         origin_server_->recruit_peer({host.address(), 8080});
-    slot.proxy->signup({config_.provider, id, origin_ep});
-    slot.proxy->start_usage_uploads(config_.usage_upload_interval);
+    slot.proxy->signup({kProvider, id, origin_ep});
+    slot.proxy->start_usage_uploads(kUsageUploadInterval);
   }
 
   // Browsing homes: slots exist up front, stacks are built lazily on the
@@ -97,17 +109,16 @@ void MetroDriver::start() {
     net::Host& store_host = *topo_.homes.at(pair.store_home);
     pair.store_mux = std::make_unique<transport::TransportMux>(store_host);
     pair.store = std::make_unique<http::HttpServer>(*pair.store_mux, 8081);
-    const std::size_t record_bytes = config_.attic_record_bytes;
     pair.store->route(http::Method::kPut, "/rec/",
                       [](const http::Request&, http::ResponseWriter& w) {
                         w.respond({204, {}, {}});
                       });
     pair.store->route(http::Method::kGet, "/rec/",
-                      [record_bytes](const http::Request& req,
-                                     http::ResponseWriter& w) {
+                      [](const http::Request& req, http::ResponseWriter& w) {
                         http::Response resp;
                         resp.body = http::Body::synthetic(
-                            record_bytes, std::hash<std::string>{}(req.path));
+                            kAtticRecordBytes,
+                            std::hash<std::string>{}(req.path));
                         w.respond(std::move(resp));
                       });
     pair.client_mux = std::make_unique<transport::TransportMux>(
@@ -167,7 +178,7 @@ MetroDriver::ClientSlot& MetroDriver::ensure_client(std::size_t home) {
     slot.http = std::make_unique<http::HttpClient>(*slot.mux, rng_.fork());
     slot.loader = std::make_unique<nocdn::LoaderClient>(
         *slot.http, net::Endpoint{topo_.origins[0]->address(), 80},
-        config_.provider);
+        kProvider);
   }
   if (cluster_ && !slot.dir) {
     slot.dir = std::make_unique<core::ShardedDirectoryClient>(
@@ -201,7 +212,7 @@ void MetroDriver::dir_probe(ClientSlot& slot) {
   // Occasionally probe a silent household: any found answer past its
   // lease (+1 s grace) is a stale advertisement being served.
   if (config_.dir_silent_homes > 0 &&
-      rng_.bernoulli(config_.dir_silent_probe_p)) {
+      rng_.bernoulli(kDirSilentProbeP)) {
     const std::size_t idx =
         dir_renewing_ + rng_.uniform_index(config_.dir_silent_homes);
     core::ShardedDirectoryRegistration* reg = dir_regs_[idx].get();
@@ -254,7 +265,7 @@ void MetroDriver::attic_tick(std::size_t pair_idx) {
   http::Request put;
   put.method = http::Method::kPut;
   put.path = path;
-  put.body = http::Body::synthetic(config_.attic_record_bytes, pair.seq);
+  put.body = http::Body::synthetic(kAtticRecordBytes, pair.seq);
   pair.client->fetch(
       store_ep, std::move(put),
       [this, pair_idx, store_ep, path](util::Result<http::Response> r) {

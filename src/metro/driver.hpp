@@ -23,7 +23,6 @@ namespace hpop::metro {
 /// [active browsers | idle | peers (spread) | attic pairs (tail)] and
 /// clamps the counts to fit the built topology.
 struct MetroDriverConfig {
-  std::string provider = "metro-news";
   /// Homes that browse (generate page loads). The rest are dark or hold
   /// one of the other roles.
   std::size_t active_homes = 1000;
@@ -33,11 +32,9 @@ struct MetroDriverConfig {
   /// a record between two homes, the §IV-A in-home storage traffic shape).
   std::size_t attic_pairs = 8;
   util::Duration attic_interval = 5 * util::kSecond;
-  std::size_t attic_record_bytes = 2048;
   /// No new arrivals are scheduled at or past the horizon; in-flight page
   /// loads are allowed to finish (run the sim a little longer).
   util::TimePoint horizon = 60 * util::kSecond;
-  util::Duration usage_upload_interval = 10 * util::kSecond;
 
   /// --- Sharded HPoP directory (off while dir_shards == 0) ---
   /// Shard hosts are reserved from the layout between the peer region and
@@ -56,9 +53,6 @@ struct MetroDriverConfig {
   /// the success-rate gate measures steady state, not the registration
   /// storm racing the first arrivals.
   util::TimePoint dir_warmup = 5 * util::kSecond;
-  /// Probability an arrival also probes a random silent household (stale
-  /// detection); renewing households are looked up on every arrival.
-  double dir_silent_probe_p = 0.25;
 };
 
 /// Wires the NoCDN service stack onto a built metro and drives it with a

@@ -32,7 +32,6 @@ Link::Metrics& Link::metrics(Direction& dir) {
     dir.m.queue_drops = reg.counter("link.queue_drops");
     dir.m.loss_drops = reg.counter("link.loss_drops");
     dir.m.admin_drops = reg.counter("link.admin_drops");
-    dir.m.queued_bytes = reg.gauge("link.queued_bytes");
   }
   return dir.m;
 }
@@ -124,7 +123,6 @@ void Link::drain(int d) {
   const std::size_t dropped = dir.queue.clear();
   dir.stats.admin_drops += dropped;
   m.admin_drops->inc(dropped);
-  m.queued_bytes->add(-static_cast<double>(dir.queued_bytes));
   dir.queued_bytes = 0;
 }
 
@@ -152,7 +150,6 @@ void Link::transmit(const Interface& from, PooledPacket pkt) {
     return;
   }
   dir.queued_bytes += size;
-  m.queued_bytes->add(static_cast<double>(size));
   dir.queue.push(std::move(pkt));
   if (!dir.busy) start_service(d);
 }
@@ -185,7 +182,6 @@ void Link::start_service(int d) {
     PooledPacket pkt = dir.queue.pop_front();
     const std::size_t size = pkt->wire_size();
     dir.queued_bytes -= size;
-    m.queued_bytes->add(-static_cast<double>(size));
     if (n > 0) {
       // Serialization starts at now + span (after the packets ahead of it
       // in the burst); until then its bytes count against the buffer.
@@ -194,7 +190,6 @@ void Link::start_service(int d) {
     }
     const util::Duration tx = util::transmission_delay(size, dir.params.rate);
     span += tx;
-    dir.stats.busy_time += tx;
     if (dir.rng.bernoulli(dir.params.loss)) {
       ++dir.stats.loss_drops;
       m.loss_drops->inc();

@@ -71,10 +71,9 @@ class Link {
   /// burst keep the schedule they were dequeued with, and the new
   /// rate/loss apply from the start of the next burst. Changing params
   /// mid-flight therefore never reschedules or double-accounts an
-  /// in-service packet (it used to corrupt busy_time and delivery
-  /// ordering). Setters stage on both directions. set_params aborts, in
-  /// every build type, when it would stage a delay below the min_delay()
-  /// of a direction's CrossSink.
+  /// in-service packet. Setters stage on both directions. set_params
+  /// aborts, in every build type, when it would stage a delay below the
+  /// min_delay() of a direction's CrossSink.
   void set_loss(double loss);
   void set_rate(util::BitRate rate);
   void set_params(LinkParams params);
@@ -107,8 +106,6 @@ class Link {
     std::uint64_t queue_drops = 0;
     std::uint64_t loss_drops = 0;
     std::uint64_t admin_drops = 0;
-    /// Total time the transmitter was busy; utilization = busy/elapsed.
-    util::Duration busy_time = 0;
   };
   /// dir 0: a->b, dir 1: b->a.
   const DirectionStats& stats(int dir) const { return dir_[dir].stats; }
@@ -131,7 +128,6 @@ class Link {
     telemetry::Counter* queue_drops = nullptr;
     telemetry::Counter* loss_drops = nullptr;
     telemetry::Counter* admin_drops = nullptr;
-    telemetry::Gauge* queued_bytes = nullptr;
   };
 
   /// Per-direction state. Its size is a fixed cost of every link in a

@@ -1,5 +1,7 @@
 #include "net/nat.hpp"
 
+#include <algorithm>
+
 #include "telemetry/trace.hpp"
 #include "util/logging.hpp"
 
@@ -36,38 +38,10 @@ NatBox::MappingKey NatBox::make_key(Proto proto, Endpoint internal,
   return key;
 }
 
-void NatBox::expiry_unlink(Mapping& m) {
-  ExpiryList& list = expiry_list(m.proto);
-  (m.expiry_prev != nullptr ? m.expiry_prev->expiry_next : list.head) =
-      m.expiry_next;
-  (m.expiry_next != nullptr ? m.expiry_next->expiry_prev : list.tail) =
-      m.expiry_prev;
-  m.expiry_prev = nullptr;
-  m.expiry_next = nullptr;
-}
-
-void NatBox::expiry_push_back(Mapping& m) {
-  ExpiryList& list = expiry_list(m.proto);
-  m.expiry_prev = list.tail;
-  m.expiry_next = nullptr;
-  (list.tail != nullptr ? list.tail->expiry_next : list.head) = &m;
-  list.tail = &m;
-}
-
 void NatBox::erase_mapping(std::map<MappingKey, Mapping>::iterator it) {
   by_public_port_.erase({it->second.proto, it->second.public_port});
-  expiry_unlink(it->second);
   by_key_.erase(it);
-  ++generation_;  // flow-cache entries may point at the dead mapping
   m_table_size_->set(static_cast<double>(by_key_.size()));
-}
-
-NatBox::FlowEntry& NatBox::flow_slot(Proto proto, Endpoint internal,
-                                     Endpoint remote) {
-  std::uint64_t h = (std::uint64_t(internal.ip.value) << 16) ^ internal.port;
-  h ^= (std::uint64_t(remote.ip.value) << 16) | remote.port;
-  h = (h + static_cast<std::uint64_t>(proto)) * 0x9E3779B97F4A7C15ull;
-  return flow_cache_[(h >> 32) % kFlowSlots];
 }
 
 NatBox::Mapping* NatBox::outbound_mapping(Proto proto, Endpoint internal,
@@ -84,7 +58,6 @@ NatBox::Mapping* NatBox::outbound_mapping(Proto proto, Endpoint internal,
     Mapping m;
     m.proto = proto;
     m.internal = internal;
-    m.key = key;
     // Skip ports held by static forwards or live mappings.
     while (static_forwards_.count({proto, next_port_}) > 0 ||
            by_public_port_.count({proto, next_port_}) > 0 || next_port_ == 0) {
@@ -93,14 +66,8 @@ NatBox::Mapping* NatBox::outbound_mapping(Proto proto, Endpoint internal,
     m.public_port = next_port_++;
     it = by_key_.emplace(key, std::move(m)).first;
     by_public_port_[{proto, it->second.public_port}] = key;
-    expiry_push_back(it->second);
     m_table_size_->set(static_cast<double>(by_key_.size()));
     maybe_schedule_sweep();
-  } else {
-    // Refreshing a live mapping moves it to the back of its expiry list
-    // (constant per-proto timeout: refresh order is expiry order).
-    expiry_unlink(it->second);
-    expiry_push_back(it->second);
   }
   it->second.contacted.insert(remote);
   it->second.expires = now + timeout_for(proto);
@@ -152,14 +119,14 @@ void NatBox::maybe_schedule_sweep() {
 }
 
 void NatBox::sweep_expired() {
-  // Lists are expiry-ordered, so the sweep pops lapsed mappings off the
-  // heads and never touches a live one: O(expired), not O(table).
   const util::TimePoint now = simulator().now();
-  for (ExpiryList& list : expiry_) {
-    while (list.head != nullptr && list.head->expires < now) {
+  for (auto it = by_key_.begin(); it != by_key_.end();) {
+    const auto next = std::next(it);
+    if (it->second.expires < now) {
       ++counters_.expired;
-      erase_mapping(by_key_.find(list.head->key));
+      erase_mapping(it);
     }
+    it = next;
   }
 }
 
@@ -167,8 +134,6 @@ void NatBox::flush_mappings() {
   counters_.flushed += by_key_.size();
   by_key_.clear();
   by_public_port_.clear();
-  for (ExpiryList& list : expiry_) list = ExpiryList{};
-  ++generation_;  // every cached flow decision is now stale
   m_table_size_->set(0);
 }
 
@@ -183,7 +148,6 @@ util::Status NatBox::add_port_mapping(Proto proto, std::uint16_t external_port,
     return util::Status::failure("port_taken", "external port in use");
   }
   static_forwards_[key] = internal;
-  ++generation_;  // the forward now outranks cached dynamic decisions
   return util::Status::success();
 }
 
@@ -192,64 +156,25 @@ util::Status NatBox::remove_port_mapping(Proto proto,
   if (static_forwards_.erase({proto, external_port}) == 0) {
     return util::Status::failure("not_found", "no such mapping");
   }
-  ++generation_;
   return util::Status::success();
 }
 
 void NatBox::translate_and_forward_out(PooledPacket pkt) {
   const Proto proto = pkt->proto;
   const Endpoint internal = pkt->src_endpoint();
-  const Endpoint remote = pkt->dst_endpoint();
-  FlowEntry& slot = flow_slot(proto, internal, remote);
-  if (slot.generation == generation_ && slot.proto == proto &&
-      slot.internal == internal && slot.remote == remote) {
-    if (slot.mapping == nullptr) {
-      // Cached static-forward decision (no table state to refresh).
-      pkt->src = public_ip();
-      pkt->set_src_port(slot.public_port);
-      ++counters_.translated_out;
-      m_translated_->inc();
-      forward_packet(std::move(pkt));
-      return;
-    }
-    Mapping& m = *slot.mapping;
-    const util::TimePoint now = simulator().now();
-    if (m.expires >= now) {
-      // Replay the slow path's side effects exactly: this flow's remote is
-      // already in `contacted` (inserted on the miss that filled the
-      // entry), so the refresh is the timeout bump and expiry-list move.
-      m.expires = now + timeout_for(proto);
-      expiry_unlink(m);
-      expiry_push_back(m);
-      pkt->src = public_ip();
-      pkt->set_src_port(m.public_port);
-      ++counters_.translated_out;
-      m_translated_->inc();
-      forward_packet(std::move(pkt));
-      return;
-    }
-    // Expired while cached: fall through so the slow path erases and
-    // re-allocates exactly as it would have with no cache.
-  }
   // Traffic from an endpoint with a static forward keeps that external
   // port (otherwise replies from a UPnP-published service would leave
   // through a different port than clients connected to).
-  for (const auto& [fwd_key, fwd_internal] : static_forwards_) {
-    if (fwd_key.first == proto && fwd_internal == internal) {
-      slot = FlowEntry{generation_, proto,   internal,
-                       remote,      nullptr, fwd_key.second};
-      pkt->src = public_ip();
-      pkt->set_src_port(fwd_key.second);
-      ++counters_.translated_out;
-      m_translated_->inc();
-      forward_packet(std::move(pkt));
-      return;
-    }
-  }
-  Mapping* m = outbound_mapping(proto, internal, remote);
-  slot = FlowEntry{generation_, proto, internal, remote, m, m->public_port};
+  const auto fwd = std::find_if(
+      static_forwards_.begin(), static_forwards_.end(), [&](const auto& f) {
+        return f.first.first == proto && f.second == internal;
+      });
+  const std::uint16_t port =
+      fwd != static_forwards_.end()
+          ? fwd->first.second
+          : outbound_mapping(proto, internal, pkt->dst_endpoint())->public_port;
   pkt->src = public_ip();
-  pkt->set_src_port(m->public_port);
+  pkt->set_src_port(port);
   ++counters_.translated_out;
   m_translated_->inc();
   forward_packet(std::move(pkt));

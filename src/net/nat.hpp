@@ -124,12 +124,6 @@ class NatBox : public Node {
     /// the filtering rule consults this set.
     std::set<Endpoint> contacted;
     util::TimePoint expires = 0;
-    /// The mapping's own key (so the expiry list can erase table-side) and
-    /// the intrusive hooks of the per-proto expiry-ordered list. Map nodes
-    /// have stable addresses, so the raw pointers stay valid until erase.
-    MappingKey key;
-    Mapping* expiry_prev = nullptr;
-    Mapping* expiry_next = nullptr;
   };
 
   MappingKey make_key(Proto proto, Endpoint internal, Endpoint remote) const;
@@ -144,51 +138,13 @@ class NatBox : public Node {
   util::Duration timeout_for(Proto proto) const;
   void maybe_schedule_sweep();
   void sweep_expired();
-
-  /// Per-proto expiry-ordered intrusive list, head = oldest expiry. The
-  /// idle timeout is a per-proto constant, so every refresh is a move to
-  /// the back and the list stays sorted by `expires` with O(1) updates;
-  /// the periodic sweep pops lapsed mappings off the head in O(expired)
-  /// instead of walking the whole translation table.
-  struct ExpiryList {
-    Mapping* head = nullptr;
-    Mapping* tail = nullptr;
-  };
-  ExpiryList& expiry_list(Proto p) { return expiry_[static_cast<int>(p)]; }
-  void expiry_unlink(Mapping& m);
-  void expiry_push_back(Mapping& m);
-  /// Removes a mapping from every index (table, port index, expiry list)
-  /// and bumps `generation_` so cached pointers to it die with it.
+  /// Removes a mapping from the table and the port index.
   void erase_mapping(std::map<MappingKey, Mapping>::iterator it);
-
-  /// Small direct-mapped cache of recent outbound translation decisions.
-  /// A burst of same-flow segments (the shape the link layer's burst
-  /// service delivers) hits the translation map and the static-forward
-  /// scan once, then translates out of the cache. Decision identity is
-  /// preserved the same way Link's ClaimedSpan ledger preserves drop
-  /// decisions: a hit replays exactly the slow path's side effects
-  /// (expiry check, timeout refresh, expiry-list move), and every input
-  /// that could change the decision — a mapping erased, the table swept
-  /// or flushed, a static forward added/removed — bumps `generation_`,
-  /// invalidating all entries in O(1).
-  struct FlowEntry {
-    std::uint64_t generation = 0;  // 0 = empty; valid iff == generation_
-    Proto proto = Proto::kUdp;
-    Endpoint internal;
-    Endpoint remote;
-    Mapping* mapping = nullptr;     // nullptr => cached static forward
-    std::uint16_t public_port = 0;  // static-forward external port
-  };
-  static constexpr std::size_t kFlowSlots = 16;
-  FlowEntry& flow_slot(Proto proto, Endpoint internal, Endpoint remote);
 
   NatConfig config_;
   std::map<MappingKey, Mapping> by_key_;
   std::map<std::pair<Proto, std::uint16_t>, MappingKey> by_public_port_;
   std::map<std::pair<Proto, std::uint16_t>, Endpoint> static_forwards_;
-  ExpiryList expiry_[2];
-  FlowEntry flow_cache_[kFlowSlots];
-  std::uint64_t generation_ = 1;
   std::uint16_t next_port_;
   util::Duration sweep_period_ = 0;  // 0: lazy expiry only
   bool sweep_scheduled_ = false;

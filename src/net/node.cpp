@@ -114,13 +114,10 @@ void Node::forward_packet(PooledPacket pkt) {
   }
   Interface* out = route_lookup(pkt->dst);
   if (out == nullptr || out->link == nullptr) {
-    ++counters_.no_route;
     HPOP_LOG(kDebug, "net") << name_ << ": no route to "
                             << pkt->dst.to_string();
     return;
   }
-  ++counters_.pkts_out;
-  counters_.bytes_out += pkt->wire_size();
   out->link->transmit(*out, std::move(pkt));
 }
 
@@ -130,7 +127,6 @@ void Node::deliver(PooledPacket pkt, Interface& in) {
     return;
   }
   ++counters_.pkts_in;
-  counters_.bytes_in += pkt->wire_size();
   for (auto& hook : ingress_hooks_) {
     if (hook(*pkt)) return;
   }
@@ -166,11 +162,7 @@ std::uint16_t Host::allocate_port() {
 void Router::handle_packet(PooledPacket pkt, Interface& in) {
   (void)in;
   if (owns_address(pkt->dst)) return;  // routers host no transports
-  if (--pkt->ttl <= 0) {
-    ++ttl_drops_;
-    return;
-  }
-  ++forwarded_;
+  if (--pkt->ttl <= 0) return;
   forward_packet(std::move(pkt));
 }
 

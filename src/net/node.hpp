@@ -108,10 +108,6 @@ class Node {
 
   struct Counters {
     std::uint64_t pkts_in = 0;
-    std::uint64_t pkts_out = 0;
-    std::uint64_t bytes_in = 0;
-    std::uint64_t bytes_out = 0;
-    std::uint64_t no_route = 0;
     std::uint64_t down_drops = 0;  // packets dropped while the node was down
   };
   const Counters& counters() const { return counters_; }
@@ -169,13 +165,6 @@ class Router : public Node {
  public:
   using Node::Node;
   void handle_packet(PooledPacket pkt, Interface& in) override;
-
-  std::uint64_t forwarded() const { return forwarded_; }
-  std::uint64_t ttl_drops() const { return ttl_drops_; }
-
- private:
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t ttl_drops_ = 0;
 };
 
 }  // namespace hpop::net

@@ -150,7 +150,6 @@ struct Packet {
   std::shared_ptr<const Packet> encapsulated;
 
   int ttl = 64;
-  std::uint64_t id = 0;  // unique per created packet, for tracing
 
   std::uint16_t src_port() const {
     return proto == Proto::kTcp ? tcp.src_port : udp.src_port;

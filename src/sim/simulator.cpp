@@ -7,15 +7,29 @@
 
 namespace hpop::sim {
 
-Simulator::Simulator() {
-  util::set_log_clock(&now_);
-  telemetry::tracer().set_clock(&now_);
-}
+namespace {
 
-Simulator::~Simulator() {
-  util::set_log_clock(nullptr);
-  telemetry::tracer().set_clock(nullptr);
-}
+/// Makes `now` this thread's log and trace clock for the guard's lifetime,
+/// then puts back the clock it replaced, so records are stamped by the
+/// simulator that is running, on whichever thread runs it.
+class ClockScope {
+ public:
+  explicit ClockScope(const TimePoint* now)
+      : log_(util::set_log_clock(now)),
+        trace_(telemetry::tracer().set_clock(now)) {}
+  ~ClockScope() {
+    util::set_log_clock(log_);
+    telemetry::tracer().set_clock(trace_);
+  }
+  ClockScope(const ClockScope&) = delete;
+  ClockScope& operator=(const ClockScope&) = delete;
+
+ private:
+  const TimePoint* log_;
+  const TimePoint* trace_;
+};
+
+}  // namespace
 
 std::uint32_t Simulator::slot_of(TimerId id) const {
   const std::uint64_t raw = id & 0xFFFFFFFFull;
@@ -151,6 +165,7 @@ bool Simulator::pop_and_run(TimePoint deadline) {
 }
 
 void Simulator::run(std::uint64_t limit) {
+  const ClockScope clock(&now_);
   const std::uint64_t stop = executed_ + limit < executed_
                                  ? UINT64_MAX
                                  : executed_ + limit;
@@ -159,6 +174,7 @@ void Simulator::run(std::uint64_t limit) {
 }
 
 void Simulator::run_until(TimePoint deadline) {
+  const ClockScope clock(&now_);
   while (pop_and_run(deadline)) {
   }
   if (deadline > now_) now_ = deadline;

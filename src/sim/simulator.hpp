@@ -50,8 +50,7 @@ class Simulator {
     virtual ~Attachment() = default;
   };
 
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -82,6 +81,10 @@ class Simulator {
   /// True while `id` is queued and not yet fired or cancelled.
   bool pending(TimerId id) const { return slot_of(id) != kNone; }
 
+  /// While run() or run_until() executes, this simulator's clock stamps
+  /// the calling thread's log lines and trace records; the clock they
+  /// replaced is restored on return.
+  ///
   /// Runs until the queue drains or `limit` events execute.
   void run(std::uint64_t limit = UINT64_MAX);
 

@@ -1,8 +1,10 @@
 #include "sweep/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
+#include <thread>
 
 #include "attic/store.hpp"
 #include "durable/device.hpp"
@@ -23,7 +25,6 @@
 #include "transport/mux.hpp"
 #include "util/hash.hpp"
 #include "util/retry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hpop::sweep {
 
@@ -579,14 +580,27 @@ std::string run_scenario(Scenario s, std::uint64_t seed) {
 std::vector<std::string> run_sweep(Scenario s,
                                    const std::vector<std::uint64_t>& seeds,
                                    std::size_t jobs) {
-  // Slot i is owned by task i; merging is just reading the vector in
+  // Slot i is owned by seed i; merging is just reading the vector in
   // order, so the schedule can never reorder the report.
   std::vector<std::string> results(seeds.size());
-  util::ThreadPool pool(jobs <= 1 ? 0 : jobs);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    pool.submit([&, i] { results[i] = run_scenario(s, seeds[i]); });
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < seeds.size(); i = next++) {
+      results[i] = run_scenario(s, seeds[i]);
+    }
+  };
+  if (jobs <= 1) {
+    work();  // every seed inline, in seed order
+    return results;
   }
-  pool.wait_idle();
+  {
+    // jthread joins on destruction, so every worker is done with `results`
+    // before it is read, on every exit path.
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < std::min(jobs, seeds.size()); ++t) {
+      threads.emplace_back(work);
+    }
+  }
   return results;
 }
 

@@ -202,7 +202,7 @@ std::uint64_t Snapshot::count(const std::string& name,
   return sample->count;
 }
 
-// --- Exporters -----------------------------------------------------------
+// --- Exporter ------------------------------------------------------------
 
 namespace {
 
@@ -214,57 +214,13 @@ std::string fmt_double(double v) {
   return os.str();
 }
 
-std::string join_bins(const std::vector<std::uint64_t>& bins,
-                      char separator) {
+std::string join_bins(const std::vector<std::uint64_t>& bins) {
   std::ostringstream os;
   for (std::size_t i = 0; i < bins.size(); ++i) {
-    if (i > 0) os << separator;
+    if (i > 0) os << ',';
     os << bins[i];
   }
   return os.str();
-}
-
-std::vector<std::uint64_t> split_bins(const std::string& text,
-                                      char separator) {
-  std::vector<std::uint64_t> bins;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t pos = text.find(separator, start);
-    const std::string part = text.substr(
-        start, pos == std::string::npos ? std::string::npos : pos - start);
-    if (!part.empty()) bins.push_back(std::strtoull(part.c_str(), nullptr, 10));
-    if (pos == std::string::npos) break;
-    start = pos + 1;
-  }
-  return bins;
-}
-
-/// Extracts `"key":<value>` from one JSON line (values are never nested —
-/// the emitter writes flat objects with string, number and array fields).
-std::string json_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  std::size_t start = at + needle.size();
-  if (start >= line.size()) return "";
-  if (line[start] == '"') {
-    const std::size_t end = line.find('"', start + 1);
-    return line.substr(start + 1, end - start - 1);
-  }
-  if (line[start] == '[') {
-    const std::size_t end = line.find(']', start);
-    return line.substr(start + 1, end - start - 1);
-  }
-  std::size_t end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(start, end - start);
-}
-
-MetricKind parse_kind(const std::string& text) {
-  if (text == "gauge") return MetricKind::kGauge;
-  if (text == "histogram") return MetricKind::kHistogram;
-  if (text == "summary") return MetricKind::kSummary;
-  return MetricKind::kCounter;
 }
 
 }  // namespace
@@ -282,7 +238,7 @@ std::string to_jsonl(const Snapshot& snap) {
       case MetricKind::kHistogram:
         os << ",\"lo\":" << fmt_double(s.lo) << ",\"hi\":" << fmt_double(s.hi)
            << ",\"count\":" << s.count << ",\"bins\":["
-           << join_bins(s.bins, ',') << "]";
+           << join_bins(s.bins) << "]";
         break;
       case MetricKind::kSummary:
         os << ",\"count\":" << s.count << ",\"sum\":" << fmt_double(s.sum)
@@ -296,89 +252,6 @@ std::string to_jsonl(const Snapshot& snap) {
     os << "}\n";
   }
   return os.str();
-}
-
-Snapshot from_jsonl(const std::string& text) {
-  Snapshot snap;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    Snapshot::Sample s;
-    s.name = json_field(line, "name");
-    s.labels = json_field(line, "labels");
-    s.kind = parse_kind(json_field(line, "kind"));
-    s.value = std::atof(json_field(line, "value").c_str());
-    s.count = std::strtoull(json_field(line, "count").c_str(), nullptr, 10);
-    s.sum = std::atof(json_field(line, "sum").c_str());
-    s.min = std::atof(json_field(line, "min").c_str());
-    s.max = std::atof(json_field(line, "max").c_str());
-    s.p50 = std::atof(json_field(line, "p50").c_str());
-    s.p95 = std::atof(json_field(line, "p95").c_str());
-    s.p99 = std::atof(json_field(line, "p99").c_str());
-    s.lo = std::atof(json_field(line, "lo").c_str());
-    s.hi = std::atof(json_field(line, "hi").c_str());
-    s.bins = split_bins(json_field(line, "bins"), ',');
-    snap.samples.push_back(std::move(s));
-  }
-  return snap;
-}
-
-std::string to_csv(const Snapshot& snap) {
-  std::ostringstream os;
-  os << "name,labels,kind,value,count,sum,min,max,p50,p95,p99,lo,hi,bins\n";
-  for (const Snapshot::Sample& s : snap.samples) {
-    os << s.name << "," << s.labels << "," << metric_kind_name(s.kind) << ","
-       << fmt_double(s.value) << "," << s.count << "," << fmt_double(s.sum)
-       << "," << fmt_double(s.min) << "," << fmt_double(s.max) << ","
-       << fmt_double(s.p50) << "," << fmt_double(s.p95) << ","
-       << fmt_double(s.p99) << "," << fmt_double(s.lo) << ","
-       << fmt_double(s.hi) << "," << join_bins(s.bins, ';') << "\n";
-  }
-  return os.str();
-}
-
-Snapshot from_csv(const std::string& text) {
-  Snapshot snap;
-  std::istringstream is(text);
-  std::string line;
-  bool first = true;
-  while (std::getline(is, line)) {
-    if (first) {  // header row
-      first = false;
-      continue;
-    }
-    if (line.empty()) continue;
-    std::vector<std::string> cells;
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t pos = line.find(',', start);
-      if (pos == std::string::npos) {
-        cells.push_back(line.substr(start));
-        break;
-      }
-      cells.push_back(line.substr(start, pos - start));
-      start = pos + 1;
-    }
-    if (cells.size() < 14) continue;
-    Snapshot::Sample s;
-    s.name = cells[0];
-    s.labels = cells[1];
-    s.kind = parse_kind(cells[2]);
-    s.value = std::atof(cells[3].c_str());
-    s.count = std::strtoull(cells[4].c_str(), nullptr, 10);
-    s.sum = std::atof(cells[5].c_str());
-    s.min = std::atof(cells[6].c_str());
-    s.max = std::atof(cells[7].c_str());
-    s.p50 = std::atof(cells[8].c_str());
-    s.p95 = std::atof(cells[9].c_str());
-    s.p99 = std::atof(cells[10].c_str());
-    s.lo = std::atof(cells[11].c_str());
-    s.hi = std::atof(cells[12].c_str());
-    s.bins = split_bins(cells[13], ';');
-    snap.samples.push_back(std::move(s));
-  }
-  return snap;
 }
 
 }  // namespace hpop::telemetry

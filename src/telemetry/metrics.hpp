@@ -68,7 +68,7 @@ const char* metric_kind_name(MetricKind kind);
 struct Snapshot {
   struct Sample {
     std::string name;
-    std::string labels;  // "key=value key=value", no commas (CSV-safe)
+    std::string labels;  // "key=value key=value"
     MetricKind kind = MetricKind::kCounter;
     double value = 0;          // counter total / gauge level
     std::uint64_t count = 0;   // summary & histogram sample count
@@ -135,15 +135,11 @@ class MetricsRegistry {
 extern thread_local MetricsRegistry g_registry;
 inline MetricsRegistry& registry() { return g_registry; }
 
-// --- Exporters -----------------------------------------------------------
-// One metric per line. Formats are stable and self-describing enough that
-// from_jsonl/from_csv reparse exactly what to_jsonl/to_csv emitted (the
-// round-trip the exporter tests pin down). Summary raw samples are not
-// exported — only the derived stats.
-
+// --- Exporter ------------------------------------------------------------
+/// One JSON object per metric per line, in snapshot order, with doubles
+/// printed round-trippably: equal snapshots give equal text, which is what
+/// the determinism tests diff. Summary raw samples are not exported — only
+/// the derived stats.
 std::string to_jsonl(const Snapshot& snap);
-std::string to_csv(const Snapshot& snap);
-Snapshot from_jsonl(const std::string& text);
-Snapshot from_csv(const std::string& text);
 
 }  // namespace hpop::telemetry

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -105,13 +106,16 @@ struct TraceRecord {
 };
 
 /// Flight-recorder tracer: typed records into a fixed ring buffer stamped
-/// with simulated time (the active Simulator installs its clock, mirroring
+/// with simulated time (a running Simulator installs its clock, mirroring
 /// util::set_log_clock). Disabled categories short-circuit in emit().
 class Tracer {
  public:
   explicit Tracer(std::size_t capacity = 4096);
 
-  void set_clock(const util::TimePoint* now) { clock_ = now; }
+  /// Returns the clock it replaces.
+  const util::TimePoint* set_clock(const util::TimePoint* now) {
+    return std::exchange(clock_, now);
+  }
   /// Replaces the buffer (and clears it); capacity must be > 0.
   void set_capacity(std::size_t capacity);
 

@@ -9,10 +9,6 @@
 
 namespace hpop::transport {
 
-namespace {
-thread_local std::uint64_t g_packet_id = 0;
-}
-
 TcpConnection::TcpConnection(TransportMux& mux, net::Endpoint local,
                              net::Endpoint remote, TcpOptions opts,
                              bool passive)
@@ -72,7 +68,6 @@ net::PooledPacket TcpConnection::base_packet() const {
     }
     sack_rotate_ = it == ooo_ranges_.end() ? 0 : it->first;
   }
-  pkt->id = ++g_packet_id;
   return pkt;
 }
 

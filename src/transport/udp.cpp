@@ -4,10 +4,6 @@
 
 namespace hpop::transport {
 
-namespace {
-thread_local std::uint64_t g_udp_packet_id = 1u << 30;
-}
-
 UdpSocket::UdpSocket(TransportMux& mux, std::uint16_t port)
     : mux_(mux), port_(port) {}
 
@@ -23,7 +19,6 @@ void UdpSocket::send_to(net::Endpoint dst, net::PayloadPtr payload) {
   if (payload) {
     pkt->messages.push_back(net::MessageRef{pkt->payload_len, payload});
   }
-  pkt->id = ++g_udp_packet_id;
   mux_.send_packet(std::move(pkt));
 }
 
@@ -38,7 +33,6 @@ void UdpSocket::send_packet_to(net::Endpoint dst, net::Packet inner) {
   // The inner packet is shared, not pooled: tunnel hops hold it across
   // arbitrary lifetimes and the encap path is rare (DCol VPN only).
   pkt->encapsulated = std::make_shared<const net::Packet>(std::move(inner));
-  pkt->id = ++g_udp_packet_id;
   mux_.send_packet(std::move(pkt));
 }
 

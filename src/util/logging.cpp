@@ -1,6 +1,7 @@
 #include "util/logging.hpp"
 
 #include <cstdio>
+#include <utility>
 
 namespace hpop::util {
 
@@ -23,7 +24,9 @@ const char* level_name(LogLevel level) {
 
 void set_log_level(LogLevel level) { g_level = level; }
 LogLevel log_level() { return g_level; }
-void set_log_clock(const TimePoint* now) { g_now = now; }
+const TimePoint* set_log_clock(const TimePoint* now) {
+  return std::exchange(g_now, now);
+}
 
 void log_line(LogLevel level, const std::string& component,
               const std::string& message) {

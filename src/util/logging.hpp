@@ -14,9 +14,10 @@ enum class LogLevel { kTrace, kDebug, kInfo, kWarn, kError, kOff };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-/// Lets log lines carry simulated time. The active Simulator installs
-/// itself; nullptr reverts to wall-clock-free output.
-void set_log_clock(const TimePoint* now);
+/// Lets this thread's log lines carry simulated time. A running Simulator
+/// installs its clock; nullptr reverts to wall-clock-free output. Returns
+/// the clock it replaces.
+const TimePoint* set_log_clock(const TimePoint* now);
 
 void log_line(LogLevel level, const std::string& component,
               const std::string& message);

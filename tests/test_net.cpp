@@ -429,8 +429,6 @@ TEST(Routing, MultiHopThroughRouters) {
   a.send_packet(make_udp({a.address(), 1}, {b.address(), 2}));
   sim.run();
   ASSERT_EQ(seen->size(), 1u);
-  EXPECT_EQ(r1.forwarded(), 1u);
-  EXPECT_EQ(r2.forwarded(), 1u);
   EXPECT_EQ(seen->front().pkt.ttl, 62);
 }
 
@@ -450,7 +448,6 @@ TEST(Routing, TtlExpiryDrops) {
   a.send_packet(std::move(pkt));
   sim.run();
   EXPECT_TRUE(seen->empty());
-  EXPECT_EQ(r1.ttl_drops(), 1u);
 }
 
 TEST(Routing, HostsDoNotForwardTransit) {
@@ -722,11 +719,10 @@ TEST(Nat, FlushDropsDynamicKeepsStaticForwards) {
   EXPECT_EQ(f.seen_inside->size(), 1u);
 }
 
-TEST(Nat, FlushMidBurstInvalidatesFlowCache) {
-  // A back-to-back burst from one flow drives the NAT's outbound flow
-  // cache hot; a flush_mappings() landing mid-burst must invalidate the
-  // cached decision (generation bump), so the tail of the burst gets a
-  // FRESH mapping — never a stale translation through the dead one.
+TEST(Nat, FlushMidBurstAllocatesFreshMapping) {
+  // A flush_mappings() landing mid-way through a back-to-back burst from
+  // one flow gives the tail of the burst a FRESH mapping — never a stale
+  // translation through the dead one.
   NatFixture f(NatConfig::full_cone());
   const Endpoint from{f.inside->address(), 5000};
   const Endpoint to{f.server1->address(), 53};

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "telemetry/trace.hpp"
 
 namespace hpop::sim {
 namespace {
@@ -277,6 +279,38 @@ TEST(Simulator, RearmedChainStaysDeterministicUnderChurn) {
   script(second);
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+// Runs `sim` over one event at `at` that emits a trace record on the
+// calling thread, and returns the record's stamp (-1 if none was held).
+TimePoint stamp_of_event_at(Simulator& sim, TimePoint at) {
+  telemetry::Tracer& tr = telemetry::tracer();
+  tr.clear();
+  tr.enable(telemetry::TraceCategory::kPacket);
+  sim.schedule_at(at, [] {
+    telemetry::tracer().emit(telemetry::TraceEvent::kPacketDrop);
+  });
+  sim.run();
+  tr.disable(telemetry::TraceCategory::kPacket);
+  const auto recs = tr.records();
+  return recs.size() == 1 ? recs[0].at : -1;
+}
+
+TEST(Simulator, RunStampsTracesWithItsOwnClock) {
+  // Another simulator built and destroyed on this thread leaves the
+  // running simulator's stamps alone.
+  Simulator sim;
+  { Simulator other; }
+  EXPECT_EQ(stamp_of_event_at(sim, 5 * kSecond), 5 * kSecond);
+
+  // A simulator built on one thread and run on another stamps that
+  // thread's records with its own clock.
+  Simulator elsewhere;
+  TimePoint stamp = -1;
+  std::thread worker(
+      [&] { stamp = stamp_of_event_at(elsewhere, 6 * kSecond); });
+  worker.join();
+  EXPECT_EQ(stamp, 6 * kSecond);
 }
 
 }  // namespace

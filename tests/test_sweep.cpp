@@ -1,4 +1,4 @@
-// Parallel sweep determinism: running N seeds on a worker pool must
+// Parallel sweep determinism: running N seeds on worker threads must
 // produce byte-identical reports to running them serially, merged in seed
 // order. This is the contract ci.sh re-checks on the sweeper binary.
 
@@ -49,8 +49,9 @@ TEST(Sweep, FlashCrowdParallelMatchesSerial) {
 
 TEST(Sweep, PsimParallelMatchesSerial) {
   // Each seed runs a 2-worker sharded engine *inside* a sweep worker
-  // thread: nested thread pools, and the thread-local telemetry registries
-  // of the inner shards must not perturb the per-object day report.
+  // thread: nested worker threads, and the thread-local telemetry
+  // registries of the inner shards must not perturb the per-object day
+  // report.
   const std::vector<std::uint64_t> seeds = {42, 43};
   const auto serial = sweep::run_sweep(sweep::Scenario::kPsim, seeds, 1);
   const auto parallel = sweep::run_sweep(sweep::Scenario::kPsim, seeds, 2);
@@ -79,7 +80,7 @@ TEST(Sweep, PsimTcpParallelMatchesSerial) {
 
 TEST(Sweep, RerunOnSameThreadIsIdentical) {
   // Worker threads run many seeds back to back; leftover thread-local
-  // state (telemetry, packet-id counters) must not leak into reports.
+  // state (telemetry, the log clock) must not leak into reports.
   const auto first = sweep::run_scenario(sweep::Scenario::kChaos, 3);
   const auto second = sweep::run_scenario(sweep::Scenario::kChaos, 3);
   EXPECT_EQ(first, second);
