@@ -44,6 +44,14 @@ struct Header {
 };
 static_assert(sizeof(Header) <= 16);
 
+/// The header in front of block `p`. Computed on the address, not as
+/// `p[-1]`: GCC's bounds check would read that as indexing before the
+/// start of the block.
+inline Header* header_of(void* p) {
+  return reinterpret_cast<Header*>(reinterpret_cast<std::uintptr_t>(p) -
+                                   sizeof(Header));
+}
+
 inline void* hooked_alloc(std::size_t size, std::size_t align) noexcept {
   // Room for the header plus whatever slack alignment needs. malloc blocks
   // are 16-aligned already; stricter alignments pad and round up.
@@ -53,7 +61,7 @@ inline void* hooked_alloc(std::size_t size, std::size_t align) noexcept {
   auto addr = reinterpret_cast<std::uintptr_t>(base) + 16;
   if (align > 16) addr = (addr + align - 1) & ~(align - 1);
   void* p = reinterpret_cast<void*>(addr);
-  static_cast<Header*>(p)[-1] = {base, size};
+  *header_of(p) = {base, size};
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
                          std::memory_order_relaxed);
@@ -62,7 +70,7 @@ inline void* hooked_alloc(std::size_t size, std::size_t align) noexcept {
 
 inline void hooked_free(void* p) noexcept {
   if (p == nullptr) return;
-  const Header h = static_cast<Header*>(p)[-1];
+  const Header h = *header_of(p);
   g_frees.fetch_add(1, std::memory_order_relaxed);
   g_live_bytes.fetch_sub(static_cast<std::int64_t>(h.size),
                          std::memory_order_relaxed);

@@ -160,8 +160,8 @@ Outcome run_stampede(const Params& p, bool admission_on) {
   // a crowd does not slow down because the peer is struggling.
   const util::Duration stagger = p.issue_every / p.clients;
   for (int c = 1; c <= p.clients; ++c) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&, c, tick] {
+    // Each tick schedules a copy of itself: no closure owns itself.
+    const auto tick = [&, c](const auto& self) -> void {
       if (sim.now() >= p.horizon) return;
       const util::TimePoint issued_at = sim.now();
       if (issued_at >= p.warmup) ++out.issued;
@@ -175,9 +175,9 @@ Outcome run_stampede(const Params& p, bool admission_on) {
                 out.latencies_s.push_back(
                     static_cast<double>(done_at - issued_at) / kSecond);
               });
-      sim.schedule(p.issue_every, *tick);
+      sim.schedule(p.issue_every, [self] { self(self); });
     };
-    sim.schedule(kSecond + c * stagger, [tick] { (*tick)(); });
+    sim.schedule(kSecond + c * stagger, [tick] { tick(tick); });
   }
 
   sim.run_until(p.horizon + 5 * kSecond);

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "attic/store.hpp"
@@ -38,11 +39,15 @@ inline double seconds_since(Clock::time_point start) {
 
 /// One put of the standard workload: synthetic 2 KiB bodies spread over
 /// `files` paths, so long runs exercise version pruning during replay.
+/// The store's quota and device are fault-free, so a refused put means the
+/// workload itself is broken.
 inline void workload_put(attic::AtticStore& store, std::size_t i,
                          std::size_t files) {
-  store.put("/day/f" + std::to_string(i % files),
-            http::Body::synthetic(2048, static_cast<std::uint64_t>(i)),
-            static_cast<util::TimePoint>(i));
+  const auto etag =
+      store.put("/day/f" + std::to_string(i % files),
+                http::Body::synthetic(2048, static_cast<std::uint64_t>(i)),
+                static_cast<util::TimePoint>(i));
+  if (!etag.ok()) throw std::runtime_error("durability workload: put refused");
 }
 
 }  // namespace detail

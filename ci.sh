@@ -20,7 +20,8 @@ same_stdout() {
   done
 }
 
-cmake -B build -S .
+# -Werror: the plain build is warning-free, and a new warning fails CI.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j
 # --timeout: no single test may wedge the suite (overload/chaos scenarios
 # drive long simulated horizons but must stay fast in wall-clock terms).
@@ -169,10 +170,8 @@ done
 
 cmake -B build-asan -S . -DHPOP_SANITIZE=ON
 cmake --build build-asan -j
-# detect_leaks=0: the transport layer keeps connections alive through
-# shared_ptr callback cycles (a known seed-era pattern), which LSan reports
-# at exit. Memory-error and UB detection — the point of this lane — stay on.
-export ASAN_OPTIONS=detect_leaks=0
+# LeakSanitizer stays on: every test and bench run below must free what it
+# allocates, transport connections and MPTCP sessions included.
 ctest --test-dir build-asan --output-on-failure --timeout 240
 # Metro under ASan: a 1000-home build plus the smoke diurnal day, checking
 # for memory errors at scale. --no-gate because redzones inflate the

@@ -72,8 +72,6 @@ int main() {
           serve_tls(conn, [conn](net::PayloadPtr) {
             conn->send_bytes(kVideo);
           });
-          static std::shared_ptr<transport::MptcpConnection> keep;
-          keep = conn;
         });
 
     Collective collective;

@@ -416,24 +416,26 @@ void BackupManager::restore_session(const std::string& key, ImageCallback cb) {
   };
   auto chain = std::make_shared<Chain>();
   chain->pieces = it->second.pieces;
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, chain, step, cb] {
+  // Each step hands a copy of itself to the next piece's callback, so the
+  // chain is owned by whichever restore is in flight and freed after the
+  // last one.
+  const auto step = [this, chain, cb](const auto& self) -> void {
     if (chain->index == chain->pieces.size()) {
       cb(std::move(chain->image));
       return;
     }
     const std::string piece = chain->pieces[chain->index++];
-    restore(piece, [chain, step, cb](util::Result<http::Body> body) {
+    restore(piece, [chain, cb, self](util::Result<http::Body> body) {
       if (!body.ok()) {
         cb(util::Result<util::Bytes>(body.error()));
         return;
       }
       const util::Bytes& bytes = body.value().bytes();
       chain->image.insert(chain->image.end(), bytes.begin(), bytes.end());
-      (*step)();
+      self(self);
     });
   };
-  (*step)();
+  step(step);
 }
 
 void BackupManager::check_and_repair(const std::string& file_key,

@@ -34,9 +34,6 @@ class HealthProviderSystem {
   /// One-time bootstrapping with a patient's grant.
   util::Status link_patient(const std::string& patient,
                             const std::string& qr_code);
-  bool patient_linked(const std::string& patient) const {
-    return linked_.count(patient) > 0;
-  }
 
   /// Writes a record: local store always; attic copy when linked. The
   /// callback acks ONLY once the attic copy is durable — a failed write
@@ -146,12 +143,6 @@ class PatientHealthView {
   /// Walks /records/<provider>/<record>; completes when all listed
   /// directories are enumerated.
   void aggregate(AggregateCallback cb);
-
-  using RecordCallback =
-      std::function<void(util::Result<AtticClient::File>)>;
-  void fetch_record(const std::string& path, RecordCallback cb) {
-    attic_.get(path, std::move(cb));
-  }
 
  private:
   AtticClient& attic_;

@@ -197,7 +197,7 @@ void AtticStore::clear() {
   versions_pruned_ = 0;
 }
 
-void AtticStore::apply_record(const durable::WalRecord& rec) {
+bool AtticStore::apply_record(const durable::WalRecord& rec) {
   durable::PayloadReader r(rec.payload);
   switch (rec.type) {
     case kWalPut: {
@@ -205,25 +205,24 @@ void AtticStore::apply_record(const durable::WalRecord& rec) {
       std::uint64_t modified = 0;
       http::Body body;
       if (!r.get_string(path) || !r.get_u64(modified) || !decode_body(r, body))
-        return;
-      put(path, std::move(body), static_cast<util::TimePoint>(modified));
-      return;
+        return false;
+      return put(path, std::move(body), static_cast<util::TimePoint>(modified))
+          .ok();
     }
     case kWalRemove: {
       std::string path;
-      if (r.get_string(path)) remove(path);
-      return;
+      return r.get_string(path) && remove(path).ok();
     }
     case kWalMkdir: {
       std::string path;
-      if (r.get_string(path)) mkdir(path);
-      return;
+      if (!r.get_string(path)) return false;
+      mkdir(path);
+      return true;
     }
     case durable::kSnapshotRecordType:
-      restore_state(rec.payload);
-      return;
+      return restore_state(rec.payload);
     default:
-      return;
+      return false;
   }
 }
 
@@ -231,8 +230,11 @@ durable::Wal::RecoveryStats AtticStore::recover_from_wal(durable::Wal& wal) {
   clear();
   wal_ = &wal;
   replaying_ = true;
-  const auto stats =
-      wal.recover([this](const durable::WalRecord& rec) { apply_record(rec); });
+  std::uint64_t failed = 0;
+  auto stats = wal.recover([&](const durable::WalRecord& rec) {
+    if (!apply_record(rec)) ++failed;
+  });
+  stats.records_failed = failed;
   replaying_ = false;
   return stats;
 }

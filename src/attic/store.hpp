@@ -122,8 +122,9 @@ class AtticStore {
   static std::string normalize(const std::string& path);
   static std::string parent_of(const std::string& path);
   std::string make_etag();
-  /// Applies one replayed WAL record (mutations with logging suppressed).
-  void apply_record(const durable::WalRecord& rec);
+  /// Applies one replayed WAL record (mutations with logging suppressed);
+  /// false when the record could not be applied.
+  bool apply_record(const durable::WalRecord& rec);
   void clear();
   bool parse_snapshot(const util::Bytes& payload);
   void copy_fields(const AtticStore& other) {

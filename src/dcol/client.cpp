@@ -9,11 +9,9 @@ namespace hpop::dcol {
 
 void serve_tls(const std::shared_ptr<transport::MptcpConnection>& conn,
                transport::MptcpConnection::MessageHandler app_handler) {
+  // The handler is the session's own, so the raw pointer outlives it.
   conn->set_on_message(
-      [conn_wp = std::weak_ptr<transport::MptcpConnection>(conn),
-       app_handler](net::PayloadPtr msg) {
-        const auto conn = conn_wp.lock();
-        if (!conn) return;
+      [conn = conn.get(), app_handler](net::PayloadPtr msg) {
         if (std::dynamic_pointer_cast<const TlsClientHello>(msg)) {
           conn->send(std::make_shared<TlsServerHello>());
           return;

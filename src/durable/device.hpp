@@ -75,8 +75,6 @@ class StorageDevice {
   void arm_torn_write() { torn_write_armed_ = true; }
   /// The next fsync() persists a random prefix and reports failure.
   void arm_partial_flush() { partial_flush_armed_ = true; }
-  bool torn_write_armed() const { return torn_write_armed_; }
-  bool partial_flush_armed() const { return partial_flush_armed_; }
 
   struct Stats {
     std::uint64_t appends = 0;

@@ -91,7 +91,6 @@ void Wal::append(std::uint8_t type, const util::Bytes& payload) {
   encoded.reserve(kWalHeaderSize + payload.size());
   encode_record(encoded, type, epoch_, payload);
   device_.append(file_, encoded);
-  ++records_appended_;
   m_appends_->inc();
 }
 

@@ -87,6 +87,9 @@ class Wal {
     std::uint64_t wall_records_truncated = 0;  // physical tail truncation
     bool compaction_discarded = false;  // stale .compact from a mid-compaction
                                         // crash was thrown away
+    /// Intact records the replaying service could not apply (an attic put
+    /// over its quota); counted by the service, not by the log.
+    std::uint64_t records_failed = 0;
   };
   /// Crash recovery: discards a stale `.compact` temp (a crash before the
   /// rename commit point), scans the durable image, replays every intact
@@ -108,8 +111,6 @@ class Wal {
   /// The whole durable image (full-backup payload).
   util::Bytes durable_image() const { return device_.read_durable(file_); }
 
-  std::uint64_t records_appended() const { return records_appended_; }
-
  private:
   std::string compact_file() const { return file_ + ".compact"; }
 
@@ -117,7 +118,6 @@ class Wal {
   std::string file_;
   std::uint64_t epoch_ = 1;
   std::uint64_t durable_epoch_ = 0;
-  std::uint64_t records_appended_ = 0;
 
   telemetry::Counter* m_appends_;
   telemetry::Counter* m_syncs_;

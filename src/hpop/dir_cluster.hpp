@@ -112,7 +112,6 @@ class DirectoryShard : public DirectoryServer {
   void start_anti_entropy();
 
   std::uint32_t shard_id() const { return cfg_.shard_id; }
-  std::uint64_t sync_epoch() const { return sync_epoch_; }
 
   struct SyncStats {
     std::uint64_t rounds = 0;            // anti-entropy pushes initiated

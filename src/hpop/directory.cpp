@@ -302,11 +302,9 @@ void DirectoryServer::enable_admission(overload::AdmissionConfig config) {
 DirectoryRegistration::DirectoryRegistration(
     transport::TransportMux& mux, net::Endpoint directory,
     std::string household, traversal::ReachabilityManager& reach)
-    : mux_(mux),
-      directory_(directory),
-      household_(std::move(household)),
-      reach_(reach) {
-  control_ = mux_.tcp_connect(directory_);
+    : household_(std::move(household)),
+      reach_(reach),
+      control_(mux.tcp_connect(directory)) {
   control_->set_on_message([this](net::PayloadPtr msg) {
     if (const auto rdv =
             std::dynamic_pointer_cast<const DirRendezvousRequest>(msg)) {
@@ -321,28 +319,13 @@ DirectoryRegistration::DirectoryRegistration(
     }
     if (const auto ack =
             std::dynamic_pointer_cast<const DirRegisterAck>(msg)) {
-      if (!ack->ok) return;
-      ++acks_;
-      if (auto_renew_ && ack->lease_s > 0) {
-        // Renew at half-lease so one lost renewal still leaves headroom.
-        const util::Duration renew_in =
-            static_cast<util::Duration>(ack->lease_s) * util::kSecond / 2;
-        if (renew_armed_) mux_.simulator().cancel(renew_timer_);
-        renew_timer_ = mux_.simulator().schedule(
-            renew_in, [this] { register_advertisement(last_adv_); });
-        renew_armed_ = true;
-      }
+      if (ack->ok) ++acks_;
     }
   });
 }
 
-DirectoryRegistration::~DirectoryRegistration() {
-  if (renew_armed_) mux_.simulator().cancel(renew_timer_);
-}
-
 void DirectoryRegistration::register_advertisement(
     const traversal::Advertisement& adv) {
-  last_adv_ = adv;
   auto reg = std::make_shared<DirRegister>();
   reg->household = household_;
   reg->advertisement = adv;

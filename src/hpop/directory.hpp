@@ -209,7 +209,7 @@ class DirectoryServer {
       rendezvous_waiters_;
 };
 
-/// HPoP-side registration client: keeps the persistent connection, renews
+/// HPoP-side registration client: keeps the persistent connection, sends
 /// the advertisement, and punches on rendezvous notifications.
 class DirectoryRegistration {
  public:
@@ -217,27 +217,15 @@ class DirectoryRegistration {
                         net::Endpoint directory,
                         std::string household,
                         traversal::ReachabilityManager& reach);
-  ~DirectoryRegistration();
 
   void register_advertisement(const traversal::Advertisement& adv);
 
-  /// Opt-in lease renewal: re-register at half the granted lease so the
-  /// entry never lapses while this HPoP is alive. Off by default — the
-  /// renewal timer keeps the simulator from going idle, which run-to-empty
-  /// tests rely on.
-  void enable_auto_renew() { auto_renew_ = true; }
   std::uint64_t acks() const { return acks_; }
 
  private:
-  transport::TransportMux& mux_;
-  net::Endpoint directory_;
   std::string household_;
   traversal::ReachabilityManager& reach_;
   std::shared_ptr<transport::TcpConnection> control_;
-  traversal::Advertisement last_adv_{};
-  bool auto_renew_ = false;
-  sim::TimerId renew_timer_ = 0;
-  bool renew_armed_ = false;
   std::uint64_t acks_ = 0;
   std::uint64_t next_txn_ = 1;
 };

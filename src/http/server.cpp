@@ -14,7 +14,8 @@ struct ResponseWriter::Slot {
   /// occupancy permit once the response is written.
   std::function<void()> on_finished;
   /// Keeps a deferring handler's writer alive until it responds. Cleared in
-  /// respond() to break the slot<->writer reference cycle.
+  /// respond(), or when the connection closes first, to break the
+  /// slot<->writer reference cycle.
   std::shared_ptr<ResponseWriter> writer_keepalive;
 };
 
@@ -99,6 +100,8 @@ void HttpServer::on_accept(std::shared_ptr<transport::TcpConnection> conn) {
   });
   state->tcp->set_on_closed([this, weak] {
     if (const auto state = weak.lock()) {
+      // A handler that never responds must not keep its slot alive.
+      for (const auto& slot : state->slots) slot->writer_keepalive.reset();
       std::erase(connections_, state);
     }
   });

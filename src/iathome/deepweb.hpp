@@ -50,7 +50,6 @@ class AtticTriggerEngine {
   void start(util::Duration scan_interval = 10 * util::kMinute);
   /// One synchronous pass (also called by the periodic scan).
   int scan_now();
-  std::size_t subscriptions_made() const { return subscribed_.size(); }
 
  private:
   sim::Simulator& sim_;

@@ -35,7 +35,6 @@ struct ShardPlan {
   std::size_t of_dslam(const MetroTopology& topo, std::size_t d) const {
     return topo.pop_of_dslam(d);
   }
-  std::size_t of_pop(std::size_t p) const { return p; }
 
   /// FNV-1a per partition over (partition id, member node ids, boundary
   /// link params), so shard-plan drift shows up in sweep fingerprints the

@@ -53,10 +53,6 @@ int Link::direction_of(const Interface& from) const {
   return &from == &a_ ? 0 : 1;
 }
 
-const Link::DirectionStats& Link::stats_from(const Interface& from) const {
-  return dir_[direction_of(from)].stats;
-}
-
 Interface& Link::peer_of(const Interface& one) {
   return &one == &a_ ? b_ : a_;
 }

@@ -109,8 +109,6 @@ class Link {
   };
   /// dir 0: a->b, dir 1: b->a.
   const DirectionStats& stats(int dir) const { return dir_[dir].stats; }
-  /// Stats for the direction whose sender is `from`.
-  const DirectionStats& stats_from(const Interface& from) const;
 
   Interface& end_a() { return a_; }
   Interface& end_b() { return b_; }

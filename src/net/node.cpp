@@ -83,7 +83,6 @@ void Node::set_up(bool up) {
     egress_hooks_.clear();
     ingress_hooks_.clear();
   }
-  for (auto& hook : lifecycle_hooks_) hook(up);
 }
 
 void Node::send_packet(PooledPacket pkt) {

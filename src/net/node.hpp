@@ -68,14 +68,8 @@ class Node {
   /// state that lives in the crashed process — virtual addresses and
   /// egress/ingress hooks (tunnels) — is reset. Interfaces, links, and
   /// routes survive (they model cabling and DHCP-persistent config).
-  /// Lifecycle hooks fire after the state change.
   virtual void set_up(bool up);
   bool is_up() const { return up_; }
-
-  using LifecycleHook = std::function<void(bool up)>;
-  void add_lifecycle_hook(LifecycleHook h) {
-    lifecycle_hooks_.push_back(std::move(h));
-  }
 
   // --- Routing ---
   void add_route(Prefix p, Interface* out);
@@ -130,7 +124,6 @@ class Node {
   std::vector<RouteEntry> routes_;
   std::vector<PacketHook> egress_hooks_;
   std::vector<PacketHook> ingress_hooks_;
-  std::vector<LifecycleHook> lifecycle_hooks_;
   bool up_ = true;
   Counters counters_;
 };

@@ -80,7 +80,6 @@ class OriginServer {
   http::Response make_wrapper(const std::string& page_path,
                               net::Endpoint client);
   std::vector<PeerView> candidates(net::Endpoint client);
-  int pick_peer(net::Endpoint client);
 
   transport::TransportMux& mux_;
   OriginConfig config_;

@@ -354,8 +354,6 @@ struct UdpDay : ShardedDay<UdpDay, UdpHome> {
 
 constexpr std::uint16_t kTcpPort = 80;
 
-using MptcpSessions = std::vector<std::shared_ptr<transport::MptcpConnection>>;
-
 struct TcpHome {
   util::Rng rng{0};
   std::uint64_t conns = 0;
@@ -365,10 +363,6 @@ struct TcpHome {
   std::uint64_t retransmits = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t mptcp_sessions = 0;
-  /// The mux only holds MPTCP sessions weakly, so the client keeps its
-  /// live sessions here (owned by the home's shard; erased — deferred one
-  /// event — when the session closes).
-  MptcpSessions mp_live;
 };
 
 struct TcpDay : ShardedDay<TcpDay, TcpHome> {
@@ -379,9 +373,6 @@ struct TcpDay : ShardedDay<TcpDay, TcpHome> {
   std::size_t mptcp_every;
   std::uint64_t origin_served = 0;
   std::uint64_t origin_tx_bytes = 0;
-  /// Accepted MPTCP sessions, owned by the core shard (same weak-mux
-  /// reasoning as TcpHome::mp_live).
-  MptcpSessions origin_mp_live;
   /// Declared last so they are destroyed first: ~TransportMux detaches
   /// every connection, which cancels RTO/delayed-ack timers on shard
   /// simulators that must still be alive, and leaves the connection
@@ -409,13 +400,7 @@ struct TcpDay : ShardedDay<TcpDay, TcpHome> {
     listener->set_on_accept_mptcp(
         [this](std::shared_ptr<transport::MptcpConnection> session) {
           transport::MptcpConnection* c = session.get();
-          origin_mp_live.push_back(std::move(session));
           c->set_on_message([this, c](net::PayloadPtr msg) { serve(c, *msg); });
-          const auto release = [this, c] {
-            release_mptcp(origin_mp_live, plan.core_partition, c);
-          };
-          c->set_on_closed(release);
-          c->set_on_reset(release);
         });
   }
 
@@ -432,7 +417,6 @@ struct TcpDay : ShardedDay<TcpDay, TcpHome> {
     if (mptcp_every != 0 && h % mptcp_every == 0) {
       auto conn = mux.mptcp_connect(origin);
       transport::MptcpConnection* c = conn.get();
-      hs.mp_live.push_back(conn);
       ++hs.mptcp_sessions;
       conn->set_on_established([c, request] {
         c->add_subflow({});
@@ -448,7 +432,6 @@ struct TcpDay : ShardedDay<TcpDay, TcpHome> {
           tmo += sf.conn->timeouts();
         }
         account_close(h, c->last_error(), rexmit, tmo);
-        release_mptcp(homes[h].mp_live, plan.of_home(topo, h), c);
       };
       conn->set_on_closed(done);
       conn->set_on_reset(done);
@@ -477,21 +460,6 @@ struct TcpDay : ShardedDay<TcpDay, TcpHome> {
     } else {
       ++hs.failed;
     }
-  }
-
-  /// Drops the owning reference one event later, on partition p: the
-  /// session is mid-way through its own close callback, so erasing the
-  /// shared_ptr here would destroy it under its own feet.
-  void release_mptcp(MptcpSessions& live, std::size_t p,
-                     transport::MptcpConnection* c) {
-    eng->sim(p).schedule(0, [&live, c] {
-      for (auto it = live.begin(); it != live.end(); ++it) {
-        if (it->get() == c) {
-          live.erase(it);
-          return;
-        }
-      }
-    });
   }
 
   /// Answers a request on an accepted TCP connection or MPTCP session.

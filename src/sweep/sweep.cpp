@@ -178,8 +178,8 @@ std::string run_flash_crowd(std::uint64_t seed) {
   std::vector<double> latencies;
   const util::Duration stagger = kIssueEvery / kClients;
   for (int c = 1; c <= kClients; ++c) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&, c, tick] {
+    // Each tick schedules a copy of itself: no closure owns itself.
+    const auto tick = [&, c](const auto& self) -> void {
       if (sim.now() >= kHorizon) return;
       const util::TimePoint issued_at = sim.now();
       if (issued_at >= kWarmup) ++issued;
@@ -193,9 +193,9 @@ std::string run_flash_crowd(std::uint64_t seed) {
                 latencies.push_back(
                     static_cast<double>(done_at - issued_at) / kSecond);
               });
-      sim.schedule(kIssueEvery, *tick);
+      sim.schedule(kIssueEvery, [self] { self(self); });
     };
-    sim.schedule(kSecond + c * stagger, [tick] { (*tick)(); });
+    sim.schedule(kSecond + c * stagger, [tick] { tick(tick); });
   }
   sim.run_until(kHorizon + 5 * kSecond);
 

@@ -19,6 +19,22 @@ MptcpConnection::MptcpConnection(TransportMux& mux, std::uint64_t token,
 
 MptcpConnection::~MptcpConnection() = default;
 
+template <class Handler, class... Args>
+void MptcpConnection::fire(Handler& handler, Args&&... args) {
+  ++firing_;
+  if (handler) handler(std::forward<Args>(args)...);
+  if (--firing_ == 0 && closed_) detach();
+}
+
+void MptcpConnection::detach() {
+  closed_ = true;
+  on_established_ = nullptr;
+  on_message_ = nullptr;
+  on_bytes_ = nullptr;
+  on_closed_ = nullptr;
+  on_reset_ = nullptr;
+}
+
 void MptcpConnection::send(net::PayloadPtr message) {
   assert(message != nullptr);
   const std::uint64_t len = message->wire_size();
@@ -81,7 +97,7 @@ void MptcpConnection::wire_subflow(SubflowInfo& info, bool primary) {
     if (const auto s = self.lock()) {
       if (!s->established_) {
         s->established_ = true;
-        if (s->on_established_) s->on_established_();
+        s->fire(s->on_established_);
       }
       s->pump();
     }
@@ -90,7 +106,7 @@ void MptcpConnection::wire_subflow(SubflowInfo& info, bool primary) {
     // Server-side subflows attach after the handshake completed.
     const bool was_established = established_;
     established_ = true;
-    if (!was_established && on_established_) on_established_();
+    if (!was_established) fire(on_established_);
   } else {
     info.conn->set_on_established(mark_established);
   }
@@ -308,7 +324,7 @@ void MptcpConnection::on_chunk_received(const ChunkPayload& chunk) {
     }
   }
   if (data_rcv_nxt_ > old) {
-    if (on_bytes_) on_bytes_(data_rcv_nxt_ - old);
+    fire(on_bytes_, data_rcv_nxt_ - old);
     deliver_ready();
   }
 }
@@ -318,7 +334,7 @@ void MptcpConnection::deliver_ready() {
          pending_refs_.begin()->first <= data_rcv_nxt_) {
     net::PayloadPtr msg = pending_refs_.begin()->second;
     pending_refs_.erase(pending_refs_.begin());
-    if (msg && on_message_) on_message_(msg);
+    if (msg) fire(on_message_, msg);
   }
 }
 
@@ -366,20 +382,15 @@ void MptcpConnection::maybe_finish_close() {
     }
   }
   if (all_dead || (data_drained && subflows_.empty())) {
+    const auto self = shared_from_this();  // the mux drops its reference
     closed_ = true;
     mux_.mptcp_unregister(token_);
     // Clean only if the app asked to close and every queued byte was
     // data-acked; anything else (a waypoint crash killing all subflows)
     // is a failure the caller must hear about.
     const bool clean = close_requested_ && data_una_ == data_end_;
-    if (!clean) {
-      last_error_ = "all subflows lost";
-      if (on_reset_) {
-        on_reset_();
-        return;
-      }
-    }
-    if (on_closed_) on_closed_();
+    if (!clean) last_error_ = "all subflows lost";
+    fire(!clean && on_reset_ ? on_reset_ : on_closed_);
   }
 }
 

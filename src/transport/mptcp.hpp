@@ -91,8 +91,6 @@ class MptcpConnection : public std::enable_shared_from_this<MptcpConnection> {
   };
   const std::vector<SubflowInfo>& subflows() const { return subflows_; }
   std::uint64_t token() const { return token_; }
-  std::uint64_t data_acked() const { return data_una_; }
-  std::uint64_t data_received() const { return data_rcv_nxt_; }
   bool established() const { return established_; }
   net::Endpoint remote() const { return remote_; }
   void set_remote(net::Endpoint remote) { remote_ = remote; }
@@ -118,6 +116,13 @@ class MptcpConnection : public std::enable_shared_from_this<MptcpConnection> {
   std::vector<net::MessageRef> refs_in_range(std::uint64_t off,
                                              std::uint64_t len) const;
   void maybe_finish_close();
+  /// Same contract as TcpConnection's: once the session has closed, the
+  /// outermost handler to return drops them all.
+  template <class Handler, class... Args>
+  void fire(Handler& handler, Args&&... args);
+  /// Called by ~TransportMux: closes the session without invoking any
+  /// callback and drops its handlers.
+  void detach();
 
   TransportMux& mux_;
   std::uint64_t token_;
@@ -126,6 +131,7 @@ class MptcpConnection : public std::enable_shared_from_this<MptcpConnection> {
   bool established_ = false;
   bool close_requested_ = false;
   bool closed_ = false;
+  int firing_ = 0;  // this session's handlers on the stack (fire())
   net::Endpoint remote_;
 
   std::vector<SubflowInfo> subflows_;

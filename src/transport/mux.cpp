@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::transport {
@@ -15,14 +16,23 @@ TransportMux::TransportMux(net::Host& host) : host_(host) {
 
 TransportMux::~TransportMux() {
   host_.set_transport_handler(nullptr);
-  // Applications may keep connections alive past the mux (self-capturing
-  // handlers, a peer's connection map); a pending RTO on one of those
-  // would fire into this freed mux. Detach them all: timers cancelled,
-  // handlers cleared, no callbacks invoked.
+  // Applications may keep endpoints alive past the mux (a peer's
+  // connection map); a pending RTO on one of those would fire into this
+  // freed mux. Detach them all: timers cancelled, handlers dropped, no
+  // callbacks invoked. Listener handlers go too: a TURN allocation holds
+  // its relay listener, whose accept handler holds the allocation.
   for (auto& [key, conn] : connections_) {
     conn->detach();
   }
   connections_.clear();
+  for (auto& [token, session] : mptcp_) {
+    session->detach();
+  }
+  mptcp_.clear();
+  for (auto& [port, listener] : listeners_) {
+    listener->on_accept_ = nullptr;
+    listener->on_accept_mptcp_ = nullptr;
+  }
 }
 
 net::IpAddr TransportMux::default_source() const { return host_.address(); }
@@ -140,22 +150,21 @@ void TransportMux::handle_tcp(net::PooledPacket pooled) {
   // Additional MPTCP subflow joining an existing session.
   if (pkt.tcp.mp_join) {
     const auto mit = mptcp_.find(*pkt.tcp.mp_join);
-    const auto session = mit != mptcp_.end() ? mit->second.lock() : nullptr;
-    if (session == nullptr) {
+    if (mit == mptcp_.end()) {
       send_rst_for(pkt);
       return;
     }
+    const auto session = mit->second;
     TcpOptions opts = session->opts_.subflow;
     opts.mp_capable = false;
     opts.join_token.reset();
     opts.bind_ip = pkt.dst;
     auto conn = create_passive(pkt, opts);
     conn->internal_established_ =
-        [session_wp = std::weak_ptr<MptcpConnection>(session),
-         conn_wp = std::weak_ptr<TcpConnection>(conn)] {
-          const auto s = session_wp.lock();
-          const auto c = conn_wp.lock();
-          if (s && c) s->attach_subflow(c, /*primary=*/false);
+        [session, conn_wp = std::weak_ptr<TcpConnection>(conn)] {
+          if (const auto c = conn_wp.lock()) {
+            session->attach_subflow(c, /*primary=*/false);
+          }
         };
     conn->on_packet(pkt);
     return;
@@ -175,17 +184,20 @@ void TransportMux::handle_tcp(net::PooledPacket pooled) {
   auto conn = create_passive(pkt, opts);
 
   if (mptcp_session) {
+    // Until the handshake completes, the session belongs to its primary
+    // subflow's establishment hook; a handshake that never completes
+    // frees it with the subflow.
     const std::uint64_t token = *pkt.tcp.mp_capable;
     auto session = std::make_shared<MptcpConnection>(
         *this, token,
         MptcpOptions{listener->options(), SchedulerKind::kMinRtt},
         /*server_role=*/true);
-    mptcp_register(token, session);
     session->set_remote(pkt.src_endpoint());
     conn->internal_established_ =
-        [listener, session,
+        [this, listener, session,
          conn_wp = std::weak_ptr<TcpConnection>(conn)] {
           if (const auto c = conn_wp.lock()) {
+            mptcp_[session->token()] = session;
             session->attach_subflow(c, /*primary=*/true);
             if (listener->on_accept_mptcp_) listener->on_accept_mptcp_(session);
           }
@@ -205,10 +217,11 @@ void TransportMux::handle_tcp(net::PooledPacket pooled) {
 
 std::shared_ptr<MptcpConnection> TransportMux::mptcp_connect(
     net::Endpoint remote, MptcpOptions opts) {
-  const std::uint64_t token = fresh_token();
+  const std::uint64_t token =
+      util::Fnv1a{}.str(host_.name()).u64(++token_counter_).h;
   auto session = std::make_shared<MptcpConnection>(*this, token, opts,
                                                    /*server_role=*/false);
-  mptcp_register(token, session);
+  mptcp_[token] = session;
   session->set_remote(remote);
   TcpOptions sub = opts.subflow;
   sub.mp_capable = true;
@@ -221,11 +234,6 @@ std::shared_ptr<MptcpConnection> TransportMux::mptcp_connect(
 std::shared_ptr<TcpConnection> TransportMux::open_subflow(net::Endpoint remote,
                                                           TcpOptions opts) {
   return tcp_connect(remote, opts);
-}
-
-void TransportMux::mptcp_register(std::uint64_t token,
-                                  std::weak_ptr<MptcpConnection> conn) {
-  mptcp_[token] = std::move(conn);
 }
 
 void TransportMux::mptcp_unregister(std::uint64_t token) {

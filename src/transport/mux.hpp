@@ -12,9 +12,15 @@
 namespace hpop::transport {
 
 /// Per-host transport demultiplexer: owns the host's UDP sockets, TCP
-/// listeners and connections, and MPTCP session registry, and dispatches
-/// inbound packets to them. Installing a TransportMux turns a bare
-/// net::Host into an end system with a socket-like API.
+/// listeners and connections, and MPTCP sessions, and dispatches inbound
+/// packets to them. Installing a TransportMux turns a bare net::Host into
+/// an end system with a socket-like API.
+///
+/// One lifetime rule covers every transport endpoint: the mux holds each
+/// connection and session until it closes, so callers need not keep one
+/// alive; a closed endpoint drops its handlers once the last one returns,
+/// so handlers may capture the endpoint itself; and ~TransportMux detaches
+/// whatever is still open.
 class TransportMux {
  public:
   explicit TransportMux(net::Host& host);
@@ -47,13 +53,10 @@ class TransportMux {
   net::IpAddr default_source() const;
   void udp_unregister(std::uint16_t port);
   void tcp_unregister(const net::Endpoint& local, const net::Endpoint& remote);
-  void mptcp_register(std::uint64_t token,
-                      std::weak_ptr<MptcpConnection> conn);
   void mptcp_unregister(std::uint64_t token);
   /// Opens a subflow connection bound to an MPTCP session token.
   std::shared_ptr<TcpConnection> open_subflow(net::Endpoint remote,
                                               TcpOptions opts);
-  std::uint64_t fresh_token() { return ++token_counter_ * 0x9e37ull + 7; }
 
  private:
   void dispatch(net::PooledPacket pkt, net::Interface& in);
@@ -69,7 +72,11 @@ class TransportMux {
   std::map<std::pair<net::Endpoint, net::Endpoint>,
            std::shared_ptr<TcpConnection>>
       connections_;  // (local, remote) -> connection
-  std::unordered_map<std::uint64_t, std::weak_ptr<MptcpConnection>> mptcp_;
+  /// Keyed by the session's token: this host's own for the sessions it
+  /// opened, the client's for the ones it accepted. A token hashes the
+  /// opening host's name with its session counter, so tokens from
+  /// different hosts do not collide at a shared server.
+  std::unordered_map<std::uint64_t, std::shared_ptr<MptcpConnection>> mptcp_;
   std::uint64_t token_counter_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "telemetry/trace.hpp"
 #include "transport/mux.hpp"
@@ -130,7 +131,18 @@ void TcpConnection::detach() {
     last_error_ = "transport destroyed";
     state_ = State::kClosed;
   }
-  // Break the self-capture cycles so externally-held references drain.
+  drop_handlers();
+}
+
+template <class Handler, class... Args>
+void TcpConnection::fire(Handler& handler, Args&&... args) {
+  ++firing_;
+  if (handler) handler(std::forward<Args>(args)...);
+  if (--firing_ == 0 && state_ == State::kClosed) drop_handlers();
+}
+
+void TcpConnection::drop_handlers() {
+  internal_established_ = nullptr;
   on_established_ = nullptr;
   on_message_ = nullptr;
   on_bytes_ = nullptr;
@@ -153,11 +165,8 @@ void TcpConnection::fail(const char* reason) {
   }
   state_ = State::kClosed;
   mux_.tcp_unregister(local_, remote_);
-  if (on_reset_) {
-    on_reset_();
-  } else if (on_closed_) {
-    on_closed_();  // apps that only watch for closure still learn of it
-  }
+  // Apps that only watch for closure still learn of it.
+  fire(on_reset_ ? on_reset_ : on_closed_);
 }
 
 std::uint64_t TcpConnection::available_window() const {
@@ -553,13 +562,13 @@ void TcpConnection::on_rto() {
   arm_rto();
   // The rollback may have reopened window space (e.g. a jammed flight
   // estimate); let layered senders (MPTCP) refill.
-  if (on_send_space_) on_send_space_();
+  fire(on_send_space_);
 }
 
 void TcpConnection::prune_acked_items() {
   while (!send_items_.empty() && send_items_.front().end_offset <= snd_una_) {
-    if (on_payload_acked_ && send_items_.front().payload) {
-      on_payload_acked_(send_items_.front().payload);
+    if (send_items_.front().payload) {
+      fire(on_payload_acked_, send_items_.front().payload);
     }
     send_items_.pop_front();
   }
@@ -622,7 +631,7 @@ void TcpConnection::process_ack(const net::Packet& pkt) {
       arm_rto();
     }
     try_send();
-    if (on_send_space_) on_send_space_();
+    fire(on_send_space_);
     maybe_finish_close();
   } else if (ack == snd_una_ && snd_nxt_ > snd_una_ && pkt.payload_len == 0 &&
              !pkt.tcp.syn && !pkt.tcp.fin) {
@@ -642,7 +651,7 @@ void TcpConnection::deliver_ready() {
          pending_refs_.begin()->first <= rcv_nxt_) {
     net::PayloadPtr msg = pending_refs_.begin()->second;
     pending_refs_.erase(pending_refs_.begin());
-    if (msg && on_message_) on_message_(msg);
+    if (msg) fire(on_message_, msg);
   }
 }
 
@@ -700,7 +709,7 @@ void TcpConnection::process_data(const net::Packet& pkt) {
     }
   }
   if (rcv_nxt_ > old_rcv_nxt) {
-    if (on_bytes_) on_bytes_(rcv_nxt_ - old_rcv_nxt);
+    fire(on_bytes_, rcv_nxt_ - old_rcv_nxt);
     deliver_ready();
   }
   // FIN handling: the peer's FIN sits right after its last data byte.
@@ -712,7 +721,7 @@ void TcpConnection::process_data(const net::Packet& pkt) {
     if (state_ == State::kEstablished) state_ = State::kClosing;
   }
   schedule_delayed_ack();
-  if (remote_closed_now && on_remote_close_) on_remote_close_();
+  if (remote_closed_now) fire(on_remote_close_);
   maybe_finish_close();
 }
 
@@ -730,7 +739,7 @@ void TcpConnection::maybe_finish_close() {
     disarm_rto();
     state_ = State::kClosed;
     mux_.tcp_unregister(local_, remote_);
-    if (on_closed_) on_closed_();
+    fire(on_closed_);
   }
 }
 
@@ -748,7 +757,7 @@ void TcpConnection::on_packet(const net::Packet& pkt) {
         rto_backoff_ = 0;
         disarm_rto();
         send_ack_now();
-        if (on_established_) on_established_();
+        fire(on_established_);
         try_send();
       }
       return;
@@ -766,8 +775,10 @@ void TcpConnection::on_packet(const net::Packet& pkt) {
         state_ = State::kEstablished;
         rto_backoff_ = 0;
         disarm_rto();
-        if (internal_established_) internal_established_();
-        if (on_established_) on_established_();
+        if (const auto hook = std::exchange(internal_established_, {})) {
+          hook();  // the mux's accept hook fires once
+        }
+        fire(on_established_);
         // Fall through to process any piggybacked data below.
       } else {
         return;

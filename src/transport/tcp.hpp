@@ -119,7 +119,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// Window space available for new data right now.
   std::uint64_t available_window() const;
   std::uint64_t unsent_bytes() const { return snd_buf_end_ - snd_nxt_; }
-  std::uint64_t flight_size() const { return snd_nxt_ - snd_una_; }
 
   /// Receiver knob for DCol steering; takes effect for subsequent ACKs.
   void set_ack_delay(util::Duration d) { opts_.ack_delay = d; }
@@ -128,11 +127,11 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void start_active_open();
   void on_packet(const net::Packet& pkt);
   /// Called by ~TransportMux: the mux is going away while the application
-  /// may still hold the connection (self-capturing handlers, peer maps).
-  /// Cancels all pending timers and clears handlers without invoking any
-  /// callback — the owner tearing down the mux (a crashed host) has
-  /// usually destroyed the application already, so firing on_reset here
-  /// would call into freed objects. Leaves the object inert and kClosed.
+  /// may still hold the connection (a peer's connection map). Cancels all
+  /// pending timers and drops the handlers without invoking any callback —
+  /// the owner tearing down the mux (a crashed host) has usually destroyed
+  /// the application already, so firing on_reset here would call into
+  /// freed objects. Leaves the object inert and kClosed.
   void detach();
 
  private:
@@ -144,7 +143,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void enqueue(std::uint64_t len, net::PayloadPtr payload);
   void try_send();
   void emit_segment(std::uint64_t seq, std::uint64_t len, bool retransmit);
-  void emit_control(bool syn, bool ack, bool fin, bool rst);
   void send_ack_now();
   void schedule_delayed_ack();
   void process_ack(const net::Packet& pkt);
@@ -166,6 +164,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void deliver_ready();
   void prune_acked_items();
   void fail(const char* reason);
+  /// Runs one handler. Once the connection has closed, the outermost
+  /// handler to return drops them all (a handler may abort its own
+  /// connection, so none is destroyed while it runs).
+  template <class Handler, class... Args>
+  void fire(Handler& handler, Args&&... args);
+  void drop_handlers();
   /// Fills the message refs ending in (seq, seq+len] straight into the
   /// packet's body. The CowVec is only touched when at least one message
   /// actually ends in the range — bulk filler segments (the hot path) ship
@@ -205,6 +209,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   bool fin_queued_ = false;
   bool fin_sent_ = false;
   bool fin_acked_ = false;
+  int firing_ = 0;  // this connection's handlers on the stack (fire())
   const char* last_error_ = nullptr;
 
   // RTT estimation (Karn: time one un-retransmitted segment at a time).
@@ -242,8 +247,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   bool fin_received_ = false;
   std::optional<sim::TimerId> delayed_ack_timer_;
 
-  // Callbacks.
-  PlainHandler internal_established_;  // mux accept/MPTCP-attach dispatch
+  // Callbacks. A closed connection holds none, so handlers may capture
+  // the connection itself.
+  PlainHandler internal_established_;  // mux accept/MPTCP-attach; fires once
   PlainHandler on_established_;
   MessageHandler on_message_;
   BytesHandler on_bytes_;

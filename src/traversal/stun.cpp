@@ -10,15 +10,13 @@ StunServer::StunServer(transport::TransportMux& mux, std::uint16_t port)
     const auto req =
         std::dynamic_pointer_cast<const StunBindingRequest>(msg);
     if (!req) return;
-    ++served_;
     auto resp = std::make_shared<StunBindingResponse>();
     resp->txn_id = req->txn_id;
     resp->mapped = from;
     socket_->send_to(from, resp);
   });
   tcp_listener_->set_on_accept(
-      [this](std::shared_ptr<transport::TcpConnection> conn) {
-        ++served_;
+      [](std::shared_ptr<transport::TcpConnection> conn) {
         auto resp = std::make_shared<StunTcpMapped>();
         resp->mapped = conn->remote();
         conn->send(resp);

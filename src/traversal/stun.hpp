@@ -35,12 +35,9 @@ class StunServer {
  public:
   StunServer(transport::TransportMux& mux, std::uint16_t port = 3478);
 
-  std::uint64_t requests_served() const { return served_; }
-
  private:
   std::shared_ptr<transport::UdpSocket> socket_;
   std::shared_ptr<transport::TcpListener> tcp_listener_;
-  std::uint64_t served_ = 0;
 };
 
 /// Discovers the NAT mapping for TCP connections originating from

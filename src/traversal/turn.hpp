@@ -75,7 +75,6 @@ class TurnAllocation {
   void allocate(ReadyCallback cb);
 
   bool active() const { return relay_.has_value(); }
-  std::optional<net::Endpoint> relay_endpoint() const { return relay_; }
 
  private:
   struct Bridge {

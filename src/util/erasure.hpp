@@ -32,10 +32,6 @@ class ReedSolomon {
   /// Requires 1 <= k, 1 <= m, and k + m <= 255.
   ReedSolomon(int k, int m);
 
-  int data_shards() const { return k_; }
-  int parity_shards() const { return m_; }
-  int total_shards() const { return k_ + m_; }
-
   /// Encodes `data` into k+m shards. Shards embed no metadata; the caller
   /// records the original size (needed to strip padding on decode).
   std::vector<Bytes> encode(const Bytes& data) const;

@@ -183,7 +183,7 @@ TEST(WebDav, ScopedTokenConfinedToDirectory) {
 
 TEST(WebDav, LockingMediatesWriters) {
   AtticWorld w;
-  w.attic->store().put("/shared/doc", http::Body("base"), 0);
+  ASSERT_TRUE(w.attic->store().put("/shared/doc", http::Body("base"), 0).ok());
 
   std::string token;
   w.owner_client->lock("/shared/doc", [&](util::Result<std::string> r) {
@@ -226,7 +226,7 @@ TEST(WebDav, LockingMediatesWriters) {
 
 TEST(WebDav, LockExpires) {
   AtticWorld w;
-  w.attic->store().put("/shared/doc", http::Body("base"), 0);
+  ASSERT_TRUE(w.attic->store().put("/shared/doc", http::Body("base"), 0).ok());
   std::string token;
   w.owner_client->lock("/shared/doc", [&](util::Result<std::string> r) {
     token = r.value();
@@ -268,7 +268,8 @@ TEST(WebDav, ConditionalPutDetectsConflict) {
 
 TEST(WebDav, RangeGet) {
   AtticWorld w;
-  w.attic->store().put("/media/song", http::Body("abcdefghij"), 0);
+  ASSERT_TRUE(
+      w.attic->store().put("/media/song", http::Body("abcdefghij"), 0).ok());
   std::string part;
   w.owner_client->get_range("/media/song", 3, 4,
                             [&](util::Result<AtticClient::File> r) {
@@ -281,8 +282,9 @@ TEST(WebDav, RangeGet) {
 
 TEST(WebDav, PropfindListsDirectory) {
   AtticWorld w;
-  w.attic->store().put("/records/clinic/a", http::Body("1"), 0);
-  w.attic->store().put("/records/lab/b", http::Body("2"), 0);
+  ASSERT_TRUE(
+      w.attic->store().put("/records/clinic/a", http::Body("1"), 0).ok());
+  ASSERT_TRUE(w.attic->store().put("/records/lab/b", http::Body("2"), 0).ok());
   std::vector<std::string> entries;
   w.owner_client->list("/records",
                        [&](util::Result<std::vector<std::string>> r) {
@@ -299,7 +301,8 @@ TEST(WebDav, PropfindListsDirectory) {
 
 TEST(WrapDriver, OpenEditCloseWritesBack) {
   AtticWorld w;
-  w.attic->store().put("/docs/report.txt", http::Body("draft"), 0);
+  ASSERT_TRUE(
+      w.attic->store().put("/docs/report.txt", http::Body("draft"), 0).ok());
   WrapDriver driver(*w.owner_client);
 
   std::optional<WrapDriver::Fd> fd;
@@ -326,7 +329,7 @@ TEST(WrapDriver, OpenEditCloseWritesBack) {
 
 TEST(WrapDriver, CleanCloseSkipsWriteback) {
   AtticWorld w;
-  w.attic->store().put("/docs/a", http::Body("x"), 0);
+  ASSERT_TRUE(w.attic->store().put("/docs/a", http::Body("x"), 0).ok());
   WrapDriver driver(*w.owner_client);
   std::optional<WrapDriver::Fd> fd;
   driver.open("/docs/a", [&](util::Result<WrapDriver::Fd> r) {
@@ -341,7 +344,7 @@ TEST(WrapDriver, CleanCloseSkipsWriteback) {
 
 TEST(WrapDriver, OfflineEditsReconcile) {
   AtticWorld w;
-  w.attic->store().put("/docs/notes", http::Body("v1"), 0);
+  ASSERT_TRUE(w.attic->store().put("/docs/notes", http::Body("v1"), 0).ok());
   WrapDriver driver(*w.owner_client);
 
   // Prime the cache while online.
@@ -381,7 +384,7 @@ TEST(WrapDriver, OfflineEditsReconcile) {
 
 TEST(WrapDriver, ConcurrentRemoteEditBecomesConflictCopy) {
   AtticWorld w;
-  w.attic->store().put("/docs/shared", http::Body("v1"), 0);
+  ASSERT_TRUE(w.attic->store().put("/docs/shared", http::Body("v1"), 0).ok());
   WrapDriver driver(*w.owner_client);
   std::optional<WrapDriver::Fd> fd;
   driver.open("/docs/shared", [&](util::Result<WrapDriver::Fd> r) {
@@ -397,12 +400,12 @@ TEST(WrapDriver, ConcurrentRemoteEditBecomesConflictCopy) {
     fd = r.value();
   });
   w.sim.run_until(5 * kSecond);
-  driver.write(*fd, http::Body("my offline version"));
+  ASSERT_TRUE(driver.write(*fd, http::Body("my offline version")).ok());
   driver.close(*fd);
 
   // Meanwhile the file changes remotely (another device).
-  w.attic->store().put("/docs/shared", http::Body("their version"),
-                       w.sim.now());
+  const http::Body theirs("their version");
+  ASSERT_TRUE(w.attic->store().put("/docs/shared", theirs, w.sim.now()).ok());
 
   driver.set_offline(false);
   int pushed = -1, conflicts = -1;

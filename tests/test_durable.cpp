@@ -253,6 +253,26 @@ TEST(Wal, CollectSinceFiltersByEpochAndDemandsFullAfterCompaction) {
 
 // ------------------------------------------------------ AtticStore replay
 
+TEST(StoreDurability, ReplayCountsRecordsItCannotApply) {
+  durable::StorageDevice dev("disk", util::Rng(5));
+  durable::Wal wal(dev, "attic.wal");
+  attic::AtticStore store(1 << 20);
+  store.attach_wal(&wal);
+  ASSERT_TRUE(store.put("/a", http::Body::synthetic(3000, 1), 0).ok());
+  ASSERT_TRUE(store.put("/b", http::Body::synthetic(3000, 2), kSecond).ok());
+  ASSERT_TRUE(store.remove("/b").ok());
+
+  dev.crash();
+  durable::Wal wal2(dev, "attic.wal");
+  attic::AtticStore small(4000);  // room for /a, not for /b as well
+  const auto stats = small.recover_from_wal(wal2);
+  EXPECT_EQ(stats.records, 3u);
+  // The put of /b is refused on quota, so the remove of /b finds nothing.
+  EXPECT_EQ(stats.records_failed, 2u);
+  EXPECT_TRUE(small.exists("/a"));
+  EXPECT_FALSE(small.exists("/b"));
+}
+
 TEST(StoreDurability, RecoveryReproducesStateByteForByte) {
   durable::StorageDevice dev("disk", util::Rng(5));
   durable::Wal wal(dev, "attic.wal");
@@ -272,6 +292,7 @@ TEST(StoreDurability, RecoveryReproducesStateByteForByte) {
   attic::AtticStore recovered(1 << 20);
   const auto stats = recovered.recover_from_wal(wal2);
   EXPECT_EQ(stats.records, 5u);
+  EXPECT_EQ(stats.records_failed, 0u);
   EXPECT_EQ(recovered.fingerprint(), fp);
   EXPECT_EQ(recovered.used_bytes(), store.used_bytes());
   EXPECT_TRUE(recovered.dir_exists("/empty"));

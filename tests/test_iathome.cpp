@@ -260,10 +260,11 @@ TEST(DeepWeb, CredentialsUnlockDeepContent) {
 TEST(DeepWeb, TickerTriggerSubscribesFromAtticDocs) {
   HomeWorld w;
   attic::AtticStore store;
-  store.put("/documents/tax-2026.txt",
-            http::Body("W2 income ... TICKER:ACME and TICKER:GLOBEX ..."),
-            0);
-  store.put("/documents/unrelated.txt", http::Body("no symbols here"), 0);
+  const http::Body tax("W2 income ... TICKER:ACME and TICKER:GLOBEX ...");
+  ASSERT_TRUE(store.put("/documents/tax-2026.txt", tax, 0).ok());
+  ASSERT_TRUE(
+      store.put("/documents/unrelated.txt", http::Body("no symbols here"), 0)
+          .ok());
 
   AtticTriggerEngine engine(w.sim, store, *w.home_web);
   engine.register_trigger(make_ticker_trigger(

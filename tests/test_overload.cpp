@@ -670,21 +670,21 @@ FlashOutcome run_flash_chaos_scenario() {
   // The stampede: every client loads the page repeatedly.
   constexpr int kLoadsPerClient = 5;
   for (int c = 0; c < kClients; ++c) {
-    auto next = std::make_shared<std::function<void(int)>>();
-    *next = [&, c, next](int remaining) {
+    // Each load schedules a copy of itself: no closure owns itself.
+    const auto next = [&, c](const auto& self, int remaining) -> void {
       clients[static_cast<std::size_t>(c)].loader->load_page(
-          "/news", [&, remaining, next](nocdn::PageLoadResult r) {
+          "/news", [&, remaining, self](nocdn::PageLoadResult r) {
             ++out.loads_done;
             if (r.success) ++out.loads_succeeded;
             if (remaining > 1) {
-              sim.schedule(kSecond, [next, remaining] {
-                (*next)(remaining - 1);
+              sim.schedule(kSecond, [self, remaining] {
+                self(self, remaining - 1);
               });
             }
           });
     };
     sim.schedule((1 + c) * 100 * kMillisecond, [next] {
-      (*next)(kLoadsPerClient);
+      next(next, kLoadsPerClient);
     });
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -427,9 +428,6 @@ TEST(Mptcp, CloseTearsDownSubflows) {
   bool server_closed = false;
   listener->set_on_accept_mptcp([&](std::shared_ptr<MptcpConnection> conn) {
     conn->set_on_closed([&] { server_closed = true; });
-    // Keep a reference so the session outlives the callback.
-    static std::shared_ptr<MptcpConnection> keep;
-    keep = conn;
   });
   auto client = f.mux_a->mptcp_connect(f.b_endpoint(80));
   bool client_closed = false;
@@ -574,6 +572,181 @@ TEST(Tcp, SackBlocksNeverExceedCapUnderLongOooBurst) {
   EXPECT_GE(dropped, 20);
   // The cap binds (the burst creates ~20 ranges) and is never exceeded.
   EXPECT_EQ(max_sack_blocks, net::TcpHeader::kMaxSackBlocks);
+}
+
+// ------------------------------------------------------- Endpoint lifetime
+// The mux holds every connection and session until it closes, and a closed
+// endpoint drops its handlers, so callers keep nothing alive themselves.
+
+TEST(EndpointLifetime, FirstSessionsOfTwoClientsStaySeparate) {
+  sim::Simulator sim;
+  net::Network net{sim, util::Rng(11)};
+  net::Host& a = net.add_host("client_a", net.next_public_address());
+  net::Host& c = net.add_host("client_c", net.next_public_address());
+  net::Host& s = net.add_host("server", net.next_public_address());
+  net::Router& r = net.add_router("router");
+  for (net::Host* h : {&a, &c, &s}) {
+    net.connect(*h, h->address(), r, IpAddr{}, PathParams{}.link());
+  }
+  net.auto_route();
+  TransportMux mux_a(a);
+  TransportMux mux_c(c);
+  TransportMux mux_s(s);
+  TcpOptions server_opts;
+  server_opts.mp_capable = true;
+  auto listener = mux_s.tcp_listen(80, server_opts);
+  std::vector<std::shared_ptr<MptcpConnection>> accepted;
+  listener->set_on_accept_mptcp(
+      [&](std::shared_ptr<MptcpConnection> conn) { accepted.push_back(conn); });
+
+  // Each client's first session: the same session counter on both hosts.
+  const Endpoint server{s.address(), 80};
+  auto from_a = mux_a.mptcp_connect(server);
+  auto from_c = mux_c.mptcp_connect(server);
+  EXPECT_NE(from_a->token(), from_c->token());
+  for (MptcpConnection* client : {from_a.get(), from_c.get()}) {
+    client->set_on_established(
+        [client] { client->add_subflow(TcpOptions{}); });
+  }
+  sim.run_until(5 * kSecond);
+  ASSERT_EQ(accepted.size(), 2u);
+  for (const auto& session : accepted) {
+    const auto& sf = session->subflows();
+    ASSERT_EQ(sf.size(), 2u);
+    EXPECT_EQ(sf[0].conn->remote().ip, session->remote().ip);
+    EXPECT_EQ(sf[1].conn->remote().ip, session->remote().ip);
+  }
+  EXPECT_NE(accepted[0]->remote().ip, accepted[1]->remote().ip);
+}
+
+TEST(EndpointLifetime, SessionsNobodyHoldsAreFreedWhenTheyClose) {
+  constexpr std::uint64_t kBytes = 256u << 10;
+  PathFixture f;
+  TcpOptions server_opts;
+  server_opts.mp_capable = true;
+  auto listener = f.mux_b->tcp_listen(80, server_opts);
+  std::weak_ptr<MptcpConnection> server;
+  bool accepted = false;
+  listener->set_on_accept_mptcp([&](std::shared_ptr<MptcpConnection> conn) {
+    server = conn;
+    accepted = true;
+    conn->set_on_message([c = conn.get()](net::PayloadPtr) {
+      c->send_bytes(kBytes);
+      c->close();
+    });
+  });
+
+  const std::weak_ptr<MptcpConnection> client =
+      f.mux_a->mptcp_connect(f.b_endpoint(80));
+  std::uint64_t received = 0;
+  bool closed = false;
+  {
+    const auto c = client.lock();
+    ASSERT_NE(c, nullptr);  // the mux holds the open session
+    c->set_on_established([c = c.get()] {
+      c->add_subflow(TcpOptions{});
+      c->send(std::make_shared<BytesPayload>("get"));
+    });
+    c->set_on_bytes([&, c = c.get()](std::size_t n) {
+      received += n;
+      if (received == kBytes) c->close();
+    });
+    c->set_on_closed([&] { closed = true; });
+  }
+  f.sim.run_until(10 * kSecond);
+  EXPECT_EQ(received, kBytes);
+  EXPECT_TRUE(closed);
+  EXPECT_TRUE(accepted);
+  EXPECT_TRUE(server.expired());
+  EXPECT_TRUE(client.expired());
+}
+
+TEST(EndpointLifetime, SelfCapturingTcpConnectionsAreFreedAfterClose) {
+  PathFixture f;
+  auto listener = f.mux_b->tcp_listen(80);
+  std::weak_ptr<TcpConnection> server;
+  listener->set_on_accept([&](std::shared_ptr<TcpConnection> conn) {
+    server = conn;
+    conn->set_on_message([conn](net::PayloadPtr) {
+      conn->send(std::make_shared<BytesPayload>("pong"));
+      conn->close();
+    });
+  });
+  std::weak_ptr<TcpConnection> client;
+  bool got_pong = false;
+  {
+    auto conn = f.mux_a->tcp_connect(f.b_endpoint(80));
+    client = conn;
+    conn->set_on_established(
+        [conn] { conn->send(std::make_shared<BytesPayload>("ping")); });
+    conn->set_on_message([conn, &got_pong](net::PayloadPtr) {
+      got_pong = true;
+      conn->close();
+    });
+  }
+  f.sim.run_until(5 * kSecond);
+  EXPECT_TRUE(got_pong);
+  EXPECT_TRUE(server.expired());
+  EXPECT_TRUE(client.expired());
+}
+
+TEST(EndpointLifetime, ServerSessionOfAnUnfinishedHandshakeIsFreed) {
+  PathFixture f;
+  TcpOptions server_opts;
+  server_opts.mp_capable = true;
+  auto listener = f.mux_b->tcp_listen(80, server_opts);
+  bool accepted = false;
+  listener->set_on_accept_mptcp(
+      [&](std::shared_ptr<MptcpConnection>) { accepted = true; });
+  const long baseline = listener.use_count();
+  auto client = f.mux_a->mptcp_connect(f.b_endpoint(80));
+  // The SYN is in (one-way delay 10 ms); the SYN-ACK is not back yet.
+  f.sim.run_until(15 * kMillisecond);
+  // The half-open subflow's establishment hook owns the listener reference
+  // and the server session, and nothing else owns the session.
+  EXPECT_EQ(listener.use_count(), baseline + 1);
+  f.path.a->set_up(false);  // the client never answers the SYN-ACK
+  f.sim.run_until(600 * kSecond);
+  EXPECT_FALSE(accepted);
+  EXPECT_EQ(listener.use_count(), baseline);
+}
+
+TEST(EndpointLifetime, TcpHandlerMayAbortItsOwnConnection) {
+  PathFixture f;
+  auto listener = f.mux_b->tcp_listen(80);
+  auto conn = f.mux_a->tcp_connect(f.b_endpoint(80));
+  bool reset = false;
+  std::string seen;
+  conn->set_on_reset([&] { reset = true; });
+  conn->set_on_established(
+      [c = conn.get(), &seen, tag = std::string(64, 'x')] {
+        c->abort();
+        seen = tag;  // the running handler's captures survive the abort
+      });
+  conn.reset();  // only the mux holds the connection
+  f.sim.run_until(kSecond);
+  EXPECT_TRUE(reset);
+  EXPECT_EQ(seen, std::string(64, 'x'));
+}
+
+TEST(EndpointLifetime, MptcpHandlerMayEndItsOwnSession) {
+  PathFixture f;
+  TcpOptions server_opts;
+  server_opts.mp_capable = true;
+  auto listener = f.mux_b->tcp_listen(80, server_opts);
+  auto session = f.mux_a->mptcp_connect(f.b_endpoint(80));
+  bool reset = false;
+  std::string seen;
+  session->set_on_reset([&] { reset = true; });
+  session->set_on_established(
+      [s = session.get(), &seen, tag = std::string(64, 'x')] {
+        s->remove_subflow(s->subflows()[0].conn);  // the only subflow
+        seen = tag;
+      });
+  session.reset();
+  f.sim.run_until(kSecond);
+  EXPECT_TRUE(reset);
+  EXPECT_EQ(seen, std::string(64, 'x'));
 }
 
 }  // namespace

@@ -148,7 +148,10 @@ TEST(Upnp, CgnRefuses) {
   std::string code;
   upnp.add_port_mapping(net::Proto::kTcp, 443,
                         {w.hpop_host->address(), 443},
-                        [&](util::Status s) { code = s.error().code; });
+                        [&](util::Status s) {
+                          ASSERT_FALSE(s.ok());
+                          code = s.error().code;
+                        });
   w.sim.run_until(kSecond);
   EXPECT_EQ(code, "upnp_disabled");
 }
@@ -165,6 +168,7 @@ TEST(Punch, AdmitsInboundThroughPortRestrictedNat) {
   std::optional<net::Endpoint> mapped;
   discover_tcp_mapping(*w.mux_hpop, {w.infra->address(), 3478}, 443,
                        [&](util::Result<net::Endpoint> r) {
+                         ASSERT_TRUE(r.ok());
                          mapped = r.value();
                        });
   w.sim.run_until(2 * kSecond);
@@ -190,6 +194,7 @@ TEST(Punch, WithoutPunchInboundIsFiltered) {
   std::optional<net::Endpoint> mapped;
   discover_tcp_mapping(*w.mux_hpop, {w.infra->address(), 3478}, 443,
                        [&](util::Result<net::Endpoint> r) {
+                         ASSERT_TRUE(r.ok());
                          mapped = r.value();
                        });
   w.sim.run_until(2 * kSecond);
