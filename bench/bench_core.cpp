@@ -7,7 +7,8 @@
 //   - the scheduler stays under 0.01 allocations per event on the hot
 //     self-rescheduling loop and per op on the timer churn, and runs the
 //     hot loop at >= 5 M events/s;
-//   - the TCP bulk transfer and the packet hops deliver every byte.
+//   - the TCP bulk transfer and the packet hops deliver every byte;
+//   - a packet crossing an idle link costs one event per hop.
 //
 // Allocation counts come from a global operator new/delete hook, so
 // "allocation-free hot path" is a measured number, not a claim.
@@ -684,6 +685,46 @@ ParallelTcpMetroResult run_parallel_tcp_metro(std::size_t homes, bool smoke) {
   return r;
 }
 
+// --- Workload 12: events per packet hop on an idle path ----------------
+// The paper's home links sit idle almost all the time (§II), so the common
+// hop finds its transmitter free. Datagrams spaced far apart cross
+// host -- router -- host one at a time, and each should cost one event per
+// link: its delivery at the far end. A count, not a rate, so the gate
+// reads the same on any box.
+
+struct IdleHopResult {
+  std::uint64_t packets = 0;
+  std::uint64_t delivered = 0;
+  double events_per_hop = 0;
+};
+
+IdleHopResult run_idle_hop(std::uint64_t packets) {
+  sim::Simulator sim;
+  net::Network net(sim, util::Rng(7));
+  const net::PathParams params{1 * util::kGbps, 1 * util::kMillisecond, 0.0,
+                               1 << 20};
+  auto path = net::make_two_host_path(net, params, params);
+  transport::TransportMux mux_a(*path.a), mux_b(*path.b);
+  auto rx = mux_b.udp_open(9000);
+  IdleHopResult r;
+  r.packets = packets;
+  rx->set_on_datagram([&r](net::Endpoint, net::PayloadPtr) { ++r.delivered; });
+  auto tx = mux_a.udp_open(9001);
+  const auto payload = std::make_shared<transport::FillerPayload>(1200);
+  const net::Endpoint dst{path.b->address(), 9000};
+  // One send event every 100 us; a datagram serializes in ~10 us per hop.
+  for (std::uint64_t i = 0; i < packets; ++i) {
+    sim.schedule_at(static_cast<util::TimePoint>(i) * 100 * util::kMicrosecond,
+                    [&] { tx->send_to(dst, payload); });
+  }
+  sim.run();
+  constexpr std::uint64_t kLinks = 2;
+  const std::uint64_t hop_events = sim.events_executed() - packets;
+  r.events_per_hop = static_cast<double>(hop_events) /
+                     static_cast<double>(packets * kLinks);
+  return r;
+}
+
 /// One row of the `gates` block: the verdict `<name>_ok`, preceded by its
 /// threshold `limit_key` when it has one. A hardware row is a speedup that
 /// needs the threads to show: it also prints `<name>_armed`, and on a box
@@ -740,6 +781,11 @@ int main(int argc, char** argv) {
   const PacketHopResult& hop = hop_ab.burst;
   const double burst_speedup = hop_ab.median_speedup();
 
+  const std::uint64_t idle_packets = 1'000;
+  std::fprintf(stderr, "[bench_core] idle-path hops (%llu datagrams)...\n",
+               static_cast<unsigned long long>(idle_packets));
+  const IdleHopResult idle = run_idle_hop(idle_packets);
+
   std::fprintf(stderr, "[bench_core] TCP bulk transfer (%zu MiB)...\n",
                bulk_mb);
   const TcpBulkResult bulk = run_tcp_bulk(bulk_mb);
@@ -793,6 +839,9 @@ int main(int argc, char** argv) {
   // Burst servicing is a single-thread algorithmic win (one heap dispatch
   // per burst instead of per packet), so this gate is armed everywhere.
   constexpr double kBurstSpeedupMin = 1.2;
+  // A hop over an idle link is its delivery event alone; a link that
+  // scheduled its return to idle would read 2.
+  constexpr double kIdleHopEventsPerHopMax = 1.0;
   // The smoke transfer (8 MiB) never fills the 16 MiB buffer; the full one
   // (64 MiB) overflows it and recovers through SACK, whose scoreboard and
   // reassembly map allocate per out-of-order segment (~0.48/segment).
@@ -824,6 +873,10 @@ int main(int argc, char** argv) {
        "packet_hop_allocs_max", kPacketHopAllocsMax, 2},
       {"burst_speedup", burst_speedup >= kBurstSpeedupMin,
        "burst_speedup_min", kBurstSpeedupMin, 1},
+      {"idle_hop_events_per_hop",
+       idle.delivered == idle.packets &&
+           idle.events_per_hop <= kIdleHopEventsPerHopMax,
+       "idle_hop_events_per_hop_max", kIdleHopEventsPerHopMax, 1},
       {"tcp_bulk_allocs", bulk.allocs_per_segment <= kTcpBulkAllocsMax,
        "tcp_bulk_allocs_max", kTcpBulkAllocsMax, 2},
       {"sweep_identical", sweep.identical},
@@ -916,6 +969,13 @@ int main(int argc, char** argv) {
                hop_pp.allocs_per_packet);
   std::fprintf(out, "    \"allocs_per_packet\": %.3f\n",
                hop.allocs_per_packet);
+  std::fprintf(out, "  },\n");
+  std::fprintf(out, "  \"idle_hop\": {\n");
+  std::fprintf(out, "    \"packets\": %llu,\n",
+               static_cast<unsigned long long>(idle.packets));
+  std::fprintf(out, "    \"delivered\": %llu,\n",
+               static_cast<unsigned long long>(idle.delivered));
+  std::fprintf(out, "    \"events_per_hop\": %.3f\n", idle.events_per_hop);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"tcp_bulk\": {\n");
   std::fprintf(out, "    \"mb\": %zu,\n", bulk_mb);
@@ -1088,6 +1148,12 @@ int main(int argc, char** argv) {
                hop.packets_per_sec / 1e6, hop_pp.packets_per_sec / 1e6,
                burst_speedup, kBurstReps, hop_ab.speedups.front(),
                hop_ab.speedups.back(), hop.allocs_per_packet);
+  std::fprintf(stderr,
+               "[bench_core] idle hop: %.3f events per hop, %llu/%llu "
+               "delivered\n",
+               idle.events_per_hop,
+               static_cast<unsigned long long>(idle.delivered),
+               static_cast<unsigned long long>(idle.packets));
   std::fprintf(stderr,
                "[bench_core] tcp bulk: %llu/%llu bytes, %.2fM ev/s, "
                "%.3f allocs/segment\n",

@@ -103,8 +103,10 @@ int main() {
       req.method = http::Method::kPost;
       req.path = "/edit";
       req.body = http::Body::synthetic(kDocBytes, 100 + done);
+      // `start` is copied: this frame has returned by the time the
+      // response arrives.
       w.device_http->fetch({w.saas->address(), 80}, std::move(req),
-                           [&](util::Result<http::Response> r) {
+                           [&, start](util::Result<http::Response> r) {
                              if (r.ok()) {
                                latency.add(util::to_millis(w.sim.now() -
                                                            start));

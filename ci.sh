@@ -132,7 +132,8 @@ cat /tmp/metro_run.0
 # budgets (packet hop <= 0.1 alloc/pkt; TCP bulk <= 0.1 alloc/segment on
 # the smoke run, <= 0.6 on the full run, whose transfer recovers from
 # loss through SACK), burst link service holds a >= 1.2x median speedup
-# over interleaved A/B pairs, the metro seed sweep is byte-identical
+# over interleaved A/B pairs, a datagram crossing idle links costs one
+# event per hop, the metro seed sweep is byte-identical
 # (plus >= 3x faster where 8 hardware threads exist), and the parallel TCP
 # metro section is byte-identical across 1/2/4 workers and stays within
 # its peak live bytes per home at 4 workers. The committed
@@ -156,6 +157,7 @@ for gate_file in /tmp/BENCH_CORE.json BENCH_CORE.json; do
   grep -q '"directory_no_stale_ok": true' "$gate_file"
   grep -q '"directory_sync_ok": true' "$gate_file"
   grep -q '"burst_speedup_ok": true' "$gate_file"
+  grep -q '"idle_hop_events_per_hop_ok": true' "$gate_file"
   grep -q '"parallel_metro_identical_ok": true' "$gate_file"
   grep -q '"parallel_tcp_metro_identical_ok": true' "$gate_file"
   grep -q '"parallel_tcp_metro_bytes_per_home_ok": true' "$gate_file"

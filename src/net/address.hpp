@@ -40,10 +40,12 @@ struct Prefix {
   IpAddr base;
   int bits = 0;
 
+  /// The network bits: the top `bits` bits set.
+  constexpr std::uint32_t mask() const {
+    return bits == 0 ? 0 : ~std::uint32_t(0) << (32 - bits);
+  }
   constexpr bool contains(IpAddr a) const {
-    if (bits == 0) return true;
-    const std::uint32_t mask = ~std::uint32_t(0) << (32 - bits);
-    return (a.value & mask) == (base.value & mask);
+    return (a.value & mask()) == (base.value & mask());
   }
   auto operator<=>(const Prefix&) const = default;
   std::string to_string() const;

@@ -36,16 +36,12 @@ Link::Metrics& Link::metrics(Direction& dir) {
   return dir.m;
 }
 
-void Link::prune_claimed(Direction& dir, util::TimePoint now) {
-  while (dir.claimed_head < dir.claimed.size() &&
-         dir.claimed[dir.claimed_head].start <= now) {
-    dir.claimed_bytes -= dir.claimed[dir.claimed_head].bytes;
-    ++dir.claimed_head;
+std::size_t Link::claimed_bytes(const Direction& dir, util::TimePoint now) {
+  std::size_t bytes = 0;
+  for (const Direction::ClaimedSpan& span : dir.claimed) {
+    if (span.start > now) bytes += span.bytes;
   }
-  if (dir.claimed_head == dir.claimed.size()) {
-    dir.claimed.clear();
-    dir.claimed_head = 0;
-  }
+  return bytes;
 }
 
 int Link::direction_of(const Interface& from) const {
@@ -137,8 +133,9 @@ void Link::transmit(const Interface& from, PooledPacket pkt) {
   // Claimed-but-not-yet-serializing burst packets still occupy the buffer
   // until their serialization start, so the drop decision is byte-identical
   // to per-packet servicing.
-  prune_claimed(dir, dir.sim->now());
-  if (dir.queued_bytes + dir.claimed_bytes + size > dir.params.queue_bytes) {
+  sim::Simulator& sim = *dir.sim;
+  if (dir.queued_bytes + claimed_bytes(dir, sim.now()) + size >
+      dir.params.queue_bytes) {
     ++dir.stats.queue_drops;
     m.queue_drops->inc();
     telemetry::tracer().emit(telemetry::TraceEvent::kPacketDrop,
@@ -147,12 +144,21 @@ void Link::transmit(const Interface& from, PooledPacket pkt) {
   }
   dir.queued_bytes += size;
   dir.queue.push(std::move(pkt));
-  if (!dir.busy) start_service(d);
+  if (dir.busy) return;
+  if (sim.now() >= dir.busy_until) {
+    start_service(d);
+    return;
+  }
+  // The last burst is still serializing: the queue is served the instant
+  // the transmitter frees up, as per-packet service would.
+  dir.busy = true;
+  sim.schedule_at(dir.busy_until, [this, d] { start_service(d); });
 }
 
 void Link::start_service(int d) {
   Direction& dir = dir_[d];
   if (dir.queue.empty()) {
+    // An admin drain emptied the queue while this event was pending.
     dir.busy = false;
     return;
   }
@@ -163,16 +169,16 @@ void Link::start_service(int d) {
     dir.params = dir.pending_params;
     dir.params_dirty = false;
   }
-  dir.busy = true;
   Metrics& m = metrics(dir);
   sim::Simulator& sim = *dir.sim;
   Interface& to = d == 0 ? b_ : a_;
 
-  // Drain up to burst_limit_ packets in one timer event. `span` is the
-  // running sum of serialization times, so packet k completes at
+  // Drain up to burst_limit_ packets in one call. `span` is the running
+  // sum of serialization times, so packet k completes at
   // now + tx_0 + ... + tx_k and propagates from there — byte-identical to
-  // servicing one packet per event, at 1/burst the heap dispatches.
-  prune_claimed(dir, sim.now());
+  // servicing one packet per event, at 1/burst the heap dispatches. The
+  // last burst's packets have all started by now.
+  dir.claimed.clear();
   util::Duration span = 0;
   for (int n = 0; n < burst_limit_ && !dir.queue.empty(); ++n) {
     PooledPacket pkt = dir.queue.pop_front();
@@ -182,7 +188,6 @@ void Link::start_service(int d) {
       // Serialization starts at now + span (after the packets ahead of it
       // in the burst); until then its bytes count against the buffer.
       dir.claimed.push_back({sim.now() + span, size});
-      dir.claimed_bytes += size;
     }
     const util::Duration tx = util::transmission_delay(size, dir.params.rate);
     span += tx;
@@ -208,8 +213,12 @@ void Link::start_service(int d) {
     }
   }
   // The transmitter stays busy until the last claimed packet finishes
-  // serializing; the next burst (or idle transition) happens there.
-  sim.schedule(span, [this, d] { start_service(d); });
+  // serializing. The next burst starts there if packets are still queued;
+  // otherwise nothing is scheduled, and the next transmit() finds the
+  // transmitter free at or after busy_until.
+  dir.busy_until = sim.now() + span;
+  dir.busy = !dir.queue.empty();
+  if (dir.busy) sim.schedule(span, [this, d] { start_service(d); });
 }
 
 void Link::enqueue_flight(int d, util::TimePoint deliver_at,

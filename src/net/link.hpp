@@ -43,12 +43,19 @@ class CrossSink {
 /// `delay`, and Bernoulli loss applied after serialization (channel noise);
 /// queue overflow models congestion loss.
 ///
-/// Service is burst-oriented: one timer event drains up to burst_limit()
+/// Service is burst-oriented: one service call drains up to burst_limit()
 /// queued packets, accumulating their serialization times, so a deep queue
 /// costs one heap dispatch per burst instead of one per packet. Delivery
 /// times and per-direction loss draws are identical to per-packet
 /// servicing by construction (the accumulated offset is exactly the sum of
 /// the per-packet schedules).
+///
+/// A direction that goes idle schedules nothing. A burst that empties the
+/// queue only records `busy_until`, the instant its last packet finishes
+/// serializing; a packet sent on an idle transmitter starts at once, and
+/// one sent before `busy_until` waits for a single service event at that
+/// instant. So an event is scheduled only while a packet is waiting, and a
+/// packet that finds the path idle costs one event per hop: its delivery.
 ///
 /// Every mutable per-packet datum — queue, effective/staged parameters,
 /// loss Rng, telemetry handles, the servicing Simulator — lives per
@@ -141,21 +148,22 @@ class Link {
     LinkParams params;
     /// Staged parameters; applied at the next burst start (see set_rate).
     LinkParams pending_params;
-    /// Packets claimed by the in-flight burst whose serialization has not
-    /// started yet. Their bytes still occupy the drop-tail buffer until
-    /// their serialization start instant, so transmit()'s overflow check
-    /// makes exactly the same decisions as per-packet servicing (bursting
-    /// must not widen the effective buffer by burst_limit-1 packets).
-    /// Spans before `claimed_head` are pruned; the vector is cleared,
-    /// keeping its capacity, once pruned empty. Every span starts before
-    /// the next burst does, so it never holds more than burst_limit - 1,
-    /// and stays unallocated while burst_limit() == 1.
+    /// Packets claimed by the last burst, with their serialization start
+    /// instants. A claimed packet's bytes occupy the drop-tail buffer until
+    /// its start instant, so transmit()'s overflow check makes exactly the
+    /// same decisions as per-packet servicing (bursting must not widen the
+    /// effective buffer by burst_limit-1 packets). Every span starts before
+    /// the next burst does, so each burst clears the vector (keeping its
+    /// capacity): it never holds more than burst_limit - 1 spans, and stays
+    /// unallocated while burst_limit() == 1.
     struct ClaimedSpan {
       util::TimePoint start;
       std::size_t bytes;
     };
     std::vector<ClaimedSpan> claimed;
-    std::size_t claimed_bytes = 0;
+    /// When the last claimed packet finishes serializing: the transmitter
+    /// is free from here on.
+    util::TimePoint busy_until = 0;
     /// Packets serialized and propagating toward the receiver, in delivery
     /// order, each stamped with its deliver_at. One persistent timer per
     /// direction walks this FIFO instead of scheduling a heap event per
@@ -173,7 +181,7 @@ class Link {
     CrossSink* sink = nullptr;
     Metrics m;
     DirectionStats stats;
-    std::uint32_t claimed_head = 0;
+    /// A service event is pending: packets wait for the transmitter.
     bool busy = false;
     bool params_dirty = false;
     /// The flight timer is pending, due at flight.front_at().
@@ -181,7 +189,7 @@ class Link {
   };
 
   Metrics& metrics(Direction& dir);
-  static void prune_claimed(Direction& dir, util::TimePoint now);
+  static std::size_t claimed_bytes(const Direction& dir, util::TimePoint now);
   void start_service(int dir);
   int direction_of(const Interface& from) const;
   void drain(int dir);

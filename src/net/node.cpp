@@ -1,5 +1,7 @@
 #include "net/node.hpp"
 
+#include <algorithm>
+
 #include "net/link.hpp"
 #include "util/logging.hpp"
 
@@ -54,24 +56,38 @@ IpAddr Node::address() const {
   return interfaces_.empty() ? IpAddr{} : interfaces_.front()->addr;
 }
 
+bool Node::route_before(const RouteEntry& r, const Prefix& key) {
+  return r.prefix.bits != key.bits ? r.prefix.bits > key.bits
+                                   : r.prefix.base < key.base;
+}
+
 void Node::add_route(Prefix p, Interface* out) {
+  p.base.value &= p.mask();
+  const auto it =
+      std::lower_bound(routes_.begin(), routes_.end(), p, route_before);
   // Replace an existing identical prefix so auto_route may be re-run.
-  for (auto& r : routes_) {
-    if (r.prefix == p) {
-      r.out = out;
-      return;
-    }
+  if (it != routes_.end() && it->prefix == p) {
+    it->out = out;
+    return;
   }
-  routes_.push_back({p, out});
+  routes_.insert(it, {p, out});
 }
 
 Interface* Node::route_lookup(IpAddr dst) const {
-  const RouteEntry* best = nullptr;
-  for (const auto& r : routes_) {
-    if (!r.prefix.contains(dst)) continue;
-    if (best == nullptr || r.prefix.bits > best->prefix.bits) best = &r;
+  // Search each run of equal-length prefixes, longest first, for the
+  // destination's masked address: the first hit is the longest match.
+  auto first = routes_.begin();
+  const auto end = routes_.end();
+  while (first != end) {
+    const Prefix key{IpAddr{dst.value & first->prefix.mask()},
+                     first->prefix.bits};
+    first = std::lower_bound(first, end, key, route_before);
+    if (first != end && first->prefix == key) return first->out;
+    first = std::partition_point(first, end, [&key](const RouteEntry& r) {
+      return r.prefix.bits == key.bits;
+    });
   }
-  return best != nullptr ? best->out : nullptr;
+  return nullptr;
 }
 
 void Node::set_up(bool up) {
@@ -111,6 +127,10 @@ void Node::forward_packet(PooledPacket pkt) {
     }
     return;
   }
+  route_out(std::move(pkt));
+}
+
+void Node::route_out(PooledPacket pkt) {
   Interface* out = route_lookup(pkt->dst);
   if (out == nullptr || out->link == nullptr) {
     HPOP_LOG(kDebug, "net") << name_ << ": no route to "
@@ -162,7 +182,7 @@ void Router::handle_packet(PooledPacket pkt, Interface& in) {
   (void)in;
   if (owns_address(pkt->dst)) return;  // routers host no transports
   if (--pkt->ttl <= 0) return;
-  forward_packet(std::move(pkt));
+  route_out(std::move(pkt));
 }
 
 }  // namespace hpop::net

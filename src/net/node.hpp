@@ -72,6 +72,8 @@ class Node {
   bool is_up() const { return up_; }
 
   // --- Routing ---
+  /// Adds a route, keyed by the prefix with its host bits cleared: adding a
+  /// prefix already in the table (host bits aside) replaces its interface.
   void add_route(Prefix p, Interface* out);
   void set_default_route(Interface* out) { add_route(Prefix{}, out); }
   void clear_routes() { routes_.clear(); }
@@ -108,13 +110,22 @@ class Node {
 
  protected:
   /// Routes and transmits without egress hooks (used by forwarding paths).
+  /// A packet addressed to this node loops back to it instead.
   void forward_packet(PooledPacket pkt);
+  /// Routes and transmits a packet the caller knows is not addressed to
+  /// this node.
+  void route_out(PooledPacket pkt);
 
  private:
+  /// `routes_` is sorted longest prefix first, then by base, so a lookup
+  /// is a binary search in each run of equal-length prefixes, longest
+  /// first.
   struct RouteEntry {
     Prefix prefix;
     Interface* out;
   };
+  /// The table's order: longest prefix first, then by base.
+  static bool route_before(const RouteEntry& r, const Prefix& key);
 
   sim::Simulator* sim_;
   PacketPool* pool_;

@@ -1,8 +1,7 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
-
 #include "telemetry/telemetry.hpp"
+#include "util/check.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::sim {
@@ -115,13 +114,19 @@ void Simulator::remove_at(std::uint32_t i) {
   }
 }
 
+// Causality: nothing may be scheduled before the clock, or the event would
+// run "now" with a timestamp in the past.
+
 TimerId Simulator::schedule(Duration delay, EventFn fn) {
-  assert(delay >= 0);
+  HPOP_CHECK(delay >= 0, "sim::Simulator::schedule: delay %lld ns at %lld ns",
+             static_cast<long long>(delay), static_cast<long long>(now_));
   return schedule_at(now_ + delay, std::move(fn));
 }
 
 TimerId Simulator::schedule_at(TimePoint when, EventFn fn) {
-  assert(when >= now_);
+  HPOP_CHECK(when >= now_,
+             "sim::Simulator::schedule_at: when %lld ns < now %lld ns",
+             static_cast<long long>(when), static_cast<long long>(now_));
   const std::uint32_t slot = acquire_slot();
   slots_[slot].fn = std::move(fn);
   const auto i = static_cast<std::uint32_t>(heap_.size());
@@ -138,7 +143,9 @@ void Simulator::cancel(TimerId id) {
 }
 
 bool Simulator::reschedule(TimerId id, Duration delay) {
-  assert(delay >= 0);
+  HPOP_CHECK(delay >= 0,
+             "sim::Simulator::reschedule: delay %lld ns at %lld ns",
+             static_cast<long long>(delay), static_cast<long long>(now_));
   const std::uint32_t slot = slot_of(id);
   if (slot == kNone) return false;
   const std::uint32_t i = slots_[slot].pos;

@@ -309,8 +309,10 @@ TEST(Link, MidBurstParamChangeKeepsClaimedSchedules) {
   EXPECT_EQ(link.stats(0).loss_drops, 1u);
 
   // And the staged rate is live too: with loss back off, a packet now
-  // serializes at 10 Mbps.
+  // serializes at 10 Mbps. run() returned when p5 was dropped, while p5
+  // still held the transmitter, so first let its serialization end.
   link.set_loss(0.0);
+  sim.run_until(sim.now() + util::transmission_delay(1000, 10 * kMbps));
   const util::TimePoint sent_at = sim.now();
   a.send_packet(make_udp({a.address(), 1}, {b.address(), 2}, 972));
   sim.run();
@@ -413,6 +415,88 @@ TEST(Link, AdminDownDrainsQueueAndBlocksTraffic) {
   EXPECT_EQ(seen->size(), 1u);
 }
 
+TEST(Link, IdleTransmitterStartsAtBusyUntilOrAtOnce) {
+  // A burst that empties the queue schedules nothing. A packet sent in
+  // its serialization tail still starts exactly when the transmitter
+  // frees up, and one sent at that instant or later starts at once.
+  sim::Simulator sim;
+  Network net(sim, util::Rng(1));
+  Host& a = net.add_host("a", IpAddr(1, 0, 0, 1));
+  Host& b = net.add_host("b", IpAddr(1, 0, 0, 2));
+  net.connect(a, b, LinkParams{1 * kMbps, 2 * kMillisecond, 0.0, 1 << 20});
+  net.auto_route();
+  std::unique_ptr<std::vector<Seen>> seen(capture(b, sim));
+  auto send = [&] {
+    a.send_packet(make_udp({a.address(), 1}, {b.address(), 2}, 972));
+  };
+
+  const util::Duration tx = util::transmission_delay(1000, 1 * kMbps);  // 8ms
+  const util::Duration delay = 2 * kMillisecond;
+  send();                                     // p1: [0, tx)
+  sim.schedule(3 * kMillisecond, send);       // p2: in p1's tail
+  sim.schedule(2 * tx, send);                 // p3: at p2's end
+  sim.schedule(4 * tx, send);                 // p4: idle again
+  sim.run();
+  ASSERT_EQ(seen->size(), 4u);
+  EXPECT_EQ(seen->at(0).at, tx + delay);
+  EXPECT_EQ(seen->at(1).at, 2 * tx + delay);  // waited for p1
+  EXPECT_EQ(seen->at(2).at, 3 * tx + delay);  // started at once
+  EXPECT_EQ(seen->at(3).at, 5 * tx + delay);
+  // Three send events, one service event (p2 waiting at tx), and one
+  // delivery per packet.
+  EXPECT_EQ(sim.events_executed(), 3u + 1u + 4u);
+}
+
+TEST(Link, DownAndUpInsideTailMatchesPerPacketService) {
+  // Cycling the link while the last packet still serializes neither
+  // frees the transmitter early nor delays the next packet past it.
+  sim::Simulator sim;
+  Network net(sim, util::Rng(1));
+  Host& a = net.add_host("a", IpAddr(1, 0, 0, 1));
+  Host& b = net.add_host("b", IpAddr(1, 0, 0, 2));
+  Link& link = net.connect(a, b, LinkParams{1 * kMbps, 0, 0.0, 1 << 20});
+  net.auto_route();
+  std::unique_ptr<std::vector<Seen>> seen(capture(b, sim));
+  auto send = [&] {
+    a.send_packet(make_udp({a.address(), 1}, {b.address(), 2}, 972));
+  };
+
+  const util::Duration tx = util::transmission_delay(1000, 1 * kMbps);  // 8ms
+  send();  // p1: [0, tx)
+  sim.schedule(2 * kMillisecond, [&] { link.set_admin_up(false); });
+  sim.schedule(4 * kMillisecond, [&] { link.set_admin_up(true); });
+  sim.schedule(5 * kMillisecond, send);  // p2 waits for p1's last bit
+  sim.run();
+  ASSERT_EQ(seen->size(), 2u);
+  EXPECT_EQ(seen->at(0).at, tx);  // the link was back up when p1 landed
+  EXPECT_EQ(seen->at(1).at, 2 * tx);
+  EXPECT_EQ(link.stats(0).admin_drops, 0u);
+}
+
+TEST(Link, IdlePathCostsOneEventPerHop) {
+  // a - r1 - r2 - b: a packet that finds every link idle costs exactly
+  // its three deliveries.
+  sim::Simulator sim;
+  Network net(sim, util::Rng(1));
+  Host& a = net.add_host("a", IpAddr(1, 0, 0, 1));
+  Host& b = net.add_host("b", IpAddr(2, 0, 0, 1));
+  Router& r1 = net.add_router("r1");
+  Router& r2 = net.add_router("r2");
+  net.connect(a, a.address(), r1, IpAddr{});
+  net.connect(r1, IpAddr{}, r2, IpAddr{});
+  net.connect(r2, IpAddr{}, b, b.address());
+  net.auto_route();
+  std::unique_ptr<std::vector<Seen>> seen(capture(b, sim));
+
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t before = sim.events_executed();
+    a.send_packet(make_udp({a.address(), 1}, {b.address(), 2}));
+    sim.run();
+    EXPECT_EQ(sim.events_executed() - before, 3u) << "packet " << i;
+  }
+  EXPECT_EQ(seen->size(), 5u);
+}
+
 TEST(Routing, MultiHopThroughRouters) {
   sim::Simulator sim;
   Network net(sim, util::Rng(1));
@@ -464,6 +548,43 @@ TEST(Routing, HostsDoNotForwardTransit) {
   a.send_packet(make_udp({a.address(), 1}, {c.address(), 2}));
   sim.run();
   EXPECT_TRUE(seen->empty());  // no route: hosts are not transit nodes
+}
+
+TEST(Routing, LongestPrefixMatchOverSortedTable) {
+  sim::Simulator sim;
+  Router r(sim, "r");
+  std::vector<Interface*> out;
+  for (int i = 0; i < 7; ++i) out.push_back(&r.add_interface(IpAddr{}));
+  // Added out of order: the table sorts itself.
+  r.add_route({IpAddr(10, 1, 0, 0), 16}, out[2]);
+  r.add_route({IpAddr(10, 1, 2, 3), 32}, out[4]);
+  r.set_default_route(out[0]);
+  r.add_route({IpAddr(10, 0, 0, 0), 8}, out[1]);
+  r.add_route({IpAddr(10, 1, 2, 0), 24}, out[3]);
+
+  EXPECT_EQ(r.route_lookup(IpAddr(10, 1, 2, 3)), out[4]);
+  EXPECT_EQ(r.route_lookup(IpAddr(10, 1, 2, 4)), out[3]);
+  EXPECT_EQ(r.route_lookup(IpAddr(10, 1, 3, 1)), out[2]);
+  EXPECT_EQ(r.route_lookup(IpAddr(10, 2, 0, 1)), out[1]);
+  EXPECT_EQ(r.route_lookup(IpAddr(11, 0, 0, 1)), out[0]);
+
+  // Re-adding a prefix replaces its interface.
+  r.add_route({IpAddr(10, 1, 0, 0), 16}, out[5]);
+  EXPECT_EQ(r.route_lookup(IpAddr(10, 1, 3, 1)), out[5]);
+
+  // A base with host bits set is keyed by its masked form: it replaces
+  // 10.1.2.0/24, and a new one matches as its masked prefix would.
+  r.add_route({IpAddr(10, 1, 2, 99), 24}, out[6]);
+  EXPECT_EQ(r.route_lookup(IpAddr(10, 1, 2, 4)), out[6]);
+  r.add_route({IpAddr(172, 16, 5, 5), 12}, out[6]);
+  EXPECT_EQ(r.route_lookup(IpAddr(172, 31, 0, 1)), out[6]);
+  EXPECT_EQ(r.route_lookup(IpAddr(172, 32, 0, 1)), out[0]);
+
+  r.clear_routes();
+  for (const IpAddr dst : {IpAddr(10, 1, 2, 3), IpAddr(10, 1, 2, 4),
+                           IpAddr(172, 16, 0, 1), IpAddr(11, 0, 0, 1)}) {
+    EXPECT_EQ(r.route_lookup(dst), nullptr) << dst.to_string();
+  }
 }
 
 // ------------------------------------------------------------------- NAT

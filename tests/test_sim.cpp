@@ -313,5 +313,29 @@ TEST(Simulator, RunStampsTracesWithItsOwnClock) {
   EXPECT_EQ(stamp, 6 * kSecond);
 }
 
+// Causality holds in every build type, not only where assert is compiled
+// in: scheduling into the past aborts with the offending instants.
+
+TEST(SimulatorDeathTest, ScheduleAtBeforeNowAborts) {
+  Simulator sim;
+  sim.run_until(5 * kMillisecond);
+  EXPECT_DEATH(sim.schedule_at(4 * kMillisecond, [] {}),
+               "when >= now_.*schedule_at: when 4000000 ns < now 5000000 ns");
+}
+
+TEST(SimulatorDeathTest, NegativeScheduleDelayAborts) {
+  Simulator sim;
+  sim.run_until(5 * kMillisecond);
+  EXPECT_DEATH(sim.schedule(-1, [] {}),
+               "delay >= 0.*schedule: delay -1 ns at 5000000 ns");
+}
+
+TEST(SimulatorDeathTest, NegativeRescheduleDelayAborts) {
+  Simulator sim;
+  const TimerId id = sim.schedule(kSecond, [] {});
+  EXPECT_DEATH(sim.reschedule(id, -kMillisecond),
+               "delay >= 0.*reschedule: delay -1000000 ns at 0 ns");
+}
+
 }  // namespace
 }  // namespace hpop::sim

@@ -141,7 +141,10 @@ struct NatCase {
   bool same_host_other_port_allowed;
 };
 
-std::string nat_case_name(const ::testing::TestParamInfo<NatCase>& info) {
+// Names each case by its behaviours (ctest shows e.g. ".../mapEI_filterAD").
+// gtest's default printer dumps the raw bytes, padding included, so the
+// generated test names would change from build to build.
+void PrintTo(const NatCase& c, std::ostream* os) {
   auto name = [](net::NatBehavior b) {
     switch (b) {
       case net::NatBehavior::kEndpointIndependent: return "EI";
@@ -150,8 +153,7 @@ std::string nat_case_name(const ::testing::TestParamInfo<NatCase>& info) {
     }
     return "?";
   };
-  return std::string("map") + name(info.param.mapping) + "_filter" +
-         name(info.param.filtering);
+  *os << "map" << name(c.mapping) << "_filter" << name(c.filtering);
 }
 
 class NatMatrix : public ::testing::TestWithParam<NatCase> {};
@@ -254,8 +256,7 @@ INSTANTIATE_TEST_SUITE_P(
         // Symmetric.
         NatCase{net::NatBehavior::kAddressAndPortDependent,
                 net::NatBehavior::kAddressAndPortDependent, false, false,
-                false}),
-    nat_case_name);
+                false}));
 
 }  // namespace
 }  // namespace hpop
