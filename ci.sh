@@ -125,6 +125,16 @@ same_stdout metro_run './build/bench/bench_metro --smoke' \
   './build/bench/bench_metro --smoke'
 cat /tmp/metro_run.0
 
+# Examples: each narrative run must exit 0 and print the same story twice.
+# The quickstart is the only program outside gtest that boots an
+# appliance, registers it with the directory and looks it up.
+examples="quickstart health_records nocdn_site detour_streaming
+  neighborhood_cache"
+for example in $examples; do
+  same_stdout "example_$example" "./build/examples/$example" \
+    "./build/examples/$example"
+done
+
 # Hot-path perf gate (E15, smoke scale): bench_core exits non-zero unless
 # the event engine allocates nothing per event on its hot loop or per op
 # on its timer churn and runs the hot loop at >= 5 M events/s, every
@@ -193,6 +203,12 @@ ctest --test-dir build-asan --output-on-failure --timeout 240
 # per-home muxes are destroyed while shard simulators still hold armed
 # RTO/delayed-ACK timers, and SACK CowVec bodies re-home across pools.
 ./build-asan/bench/bench_psim --smoke --workers 4 > /dev/null
+# Examples under ASan, LSan on: the appliance's directory registration
+# holds renewal timers and a control connection per replica until the
+# appliance dies.
+for example in $examples; do
+  "./build-asan/examples/$example" > /dev/null
+done
 
 # TSan lane: the whole tier-1 suite once under ThreadSanitizer. The
 # simulator itself is single-threaded; this lane guards the thread_local

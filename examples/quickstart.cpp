@@ -64,8 +64,11 @@ int main() {
   // (Inside the home the device would talk to the HPoP directly; for the
   // demo the laptop does everything from outside.)
 
-  core::DirectoryClient resolver(mux_laptop,
-                                 net::Endpoint{infra.address(), 5300});
+  // One directory server is a one-shard ring.
+  const core::HashRing ring(1);
+  core::DirectoryClient resolver(mux_laptop, &ring,
+                                 {net::Endpoint{infra.address(), 5300}},
+                                 core::DirClientConfig{}, util::Rng(1));
   resolver.lookup("smith-family", [&](util::Result<traversal::Advertisement>
                                           adv) {
     if (!adv.ok()) {

@@ -1,5 +1,6 @@
 #include "hpop/appliance.hpp"
 
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::core {
@@ -56,7 +57,10 @@ void Hpop::boot(BootCallback cb) {
     online_ = adv.method != traversal::ReachMethod::kUnreachable;
     if (config_.directory && online_) {
       registration_ = std::make_unique<DirectoryRegistration>(
-          mux_, *config_.directory, config_.household, reachability_);
+          mux_, &directory_ring_,
+          std::vector<net::Endpoint>{*config_.directory}, config_.household,
+          DirRegistrationConfig{},
+          util::Rng(util::Fnv1a{}.str(config_.household).h), &reachability_);
       registration_->register_advertisement(adv);
     }
     HPOP_LOG(kInfo, "hpop") << config_.household << " online via "

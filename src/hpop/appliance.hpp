@@ -4,7 +4,7 @@
 #include <string>
 
 #include "hpop/auth.hpp"
-#include "hpop/directory.hpp"
+#include "hpop/dir_cluster.hpp"
 #include "http/client.hpp"
 #include "http/server.hpp"
 #include "overload/admission.hpp"
@@ -18,6 +18,8 @@ struct HpopConfig {
   std::uint16_t service_port = 443;
   util::Bytes secret = util::to_bytes("household-secret");
   traversal::ReachabilityConfig reachability;
+  /// The directory to register with at boot. The appliance keeps its
+  /// lease renewed and re-registers after a directory restart.
   std::optional<net::Endpoint> directory;
   /// Front-door overload admission (off by default). When set, requests
   /// bearing an owner-scoped capability outrank third-party traffic, and
@@ -75,6 +77,7 @@ class Hpop {
   TokenAuthority tokens_;
   std::unique_ptr<overload::AdmissionController> admission_;
   traversal::ReachabilityManager reachability_;
+  HashRing directory_ring_{1};  // config_.directory is a one-shard ring
   std::unique_ptr<DirectoryRegistration> registration_;
   util::SymbolMap<std::string> services_;
   bool online_ = false;

@@ -64,12 +64,6 @@ std::vector<std::uint32_t> HashRing::replicas(std::string_view household,
   return out;
 }
 
-std::uint32_t HashRing::primary(std::string_view household) const {
-  std::vector<std::uint32_t> out;
-  replicas(household, 1, out);
-  return out.empty() ? 0 : out[0];
-}
-
 std::uint64_t HashRing::fingerprint() const {
   std::uint64_t h = util::Fnv1a::kLegacyBasis;
   for (const auto& [point, shard] : ring_) {
@@ -82,7 +76,7 @@ std::uint64_t HashRing::fingerprint() const {
 
 DirectoryShard::DirectoryShard(transport::TransportMux& mux,
                                const HashRing* ring, DirShardConfig cfg)
-    : DirectoryServer(mux, cfg.port), ring_(ring), cfg_(cfg) {
+    : DirectoryServer(mux), ring_(ring), cfg_(cfg) {
   set_lease_ttl(cfg_.lease_ttl);
   rr_next_ = cfg_.shard_id;  // stagger round-robin starts across shards
 }
@@ -224,9 +218,9 @@ void DirectoryShard::push_full_state(std::uint32_t peer) {
   send_to_peer(peer, std::move(batch));
 }
 
-// --- ShardedDirectoryClient ------------------------------------------------
+// --- DirectoryClient -------------------------------------------------------
 
-struct ShardedDirectoryClient::Pending {
+struct DirectoryClient::Pending {
   std::string household;
   std::vector<std::uint32_t> replicas;
   std::size_t idx = 0;
@@ -237,12 +231,13 @@ struct ShardedDirectoryClient::Pending {
   bool any_busy = false;
   util::Duration busy_hint = 0;
   util::TimePoint started = 0;
-  LookupCallback cb;
+  ResolveCallback cb;
 };
 
-ShardedDirectoryClient::ShardedDirectoryClient(
-    transport::TransportMux& mux, const HashRing* ring,
-    std::vector<net::Endpoint> shards, DirClientConfig cfg, util::Rng rng)
+DirectoryClient::DirectoryClient(transport::TransportMux& mux,
+                                 const HashRing* ring,
+                                 std::vector<net::Endpoint> shards,
+                                 DirClientConfig cfg, util::Rng rng)
     : mux_(mux),
       ring_(ring),
       shards_(std::move(shards)),
@@ -254,8 +249,15 @@ ShardedDirectoryClient::ShardedDirectoryClient(
   }
 }
 
-void ShardedDirectoryClient::lookup(const std::string& household,
-                                    LookupCallback cb) {
+void DirectoryClient::lookup(const std::string& household,
+                             LookupCallback cb) {
+  resolve(household, [cb = std::move(cb)](
+                         util::Result<traversal::Advertisement> r,
+                         std::uint32_t) { cb(std::move(r)); });
+}
+
+void DirectoryClient::resolve(const std::string& household,
+                              ResolveCallback cb) {
   ++stats_.lookups;
   auto p = std::make_shared<Pending>();
   p->household = household;
@@ -265,18 +267,19 @@ void ShardedDirectoryClient::lookup(const std::string& household,
   if (p->replicas.empty()) {
     ++stats_.unreachable;
     p->cb(util::Result<traversal::Advertisement>::failure(
-        "directory_unreachable", "no directory shards"));
+              "directory_unreachable", "no directory shards"),
+          0);
     return;
   }
   attempt(p);
 }
 
-void ShardedDirectoryClient::next_attempt(const std::shared_ptr<Pending>& p) {
+void DirectoryClient::next_attempt(const std::shared_ptr<Pending>& p) {
   ++p->idx;
   attempt(p);
 }
 
-void ShardedDirectoryClient::attempt(const std::shared_ptr<Pending>& p) {
+void DirectoryClient::attempt(const std::shared_ptr<Pending>& p) {
   sim::Simulator& sim = mux_.simulator();
   const util::TimePoint now = sim.now();
   // Skip shards whose breaker is open — unless that would skip the whole
@@ -299,7 +302,8 @@ void ShardedDirectoryClient::attempt(const std::shared_ptr<Pending>& p) {
       // Every replica that answered agreed the household is absent.
       ++stats_.not_found;
       p->cb(util::Result<traversal::Advertisement>::failure(
-          "not_found", "household not registered"));
+                "not_found", "household not registered"),
+            0);
       return;
     }
     if (cfg_.retry.may_retry(p->round, p->started, now)) {
@@ -315,11 +319,13 @@ void ShardedDirectoryClient::attempt(const std::shared_ptr<Pending>& p) {
     if (p->any_busy) {
       ++stats_.busy;
       p->cb(util::Result<traversal::Advertisement>::failure(
-          "directory_busy", "every replica shed the lookup"));
+                "directory_busy", "every replica shed the lookup"),
+            0);
     } else {
       ++stats_.unreachable;
       p->cb(util::Result<traversal::Advertisement>::failure(
-          "directory_unreachable", "no directory replica reachable"));
+                "directory_unreachable", "no directory replica reachable"),
+            0);
     }
     return;
   }
@@ -361,7 +367,7 @@ void ShardedDirectoryClient::attempt(const std::shared_ptr<Pending>& p) {
     breakers_[s].record_success(sim2.now());
     if (resp->found) {
       ++stats_.ok;
-      p->cb(resp->advertisement);
+      p->cb(resp->advertisement, s);
       return;
     }
     p->any_not_found = true;
@@ -376,9 +382,84 @@ void ShardedDirectoryClient::attempt(const std::shared_ptr<Pending>& p) {
   });
 }
 
-// --- ShardedDirectoryRegistration ------------------------------------------
+void DirectoryClient::connect(const std::string& household,
+                              ConnectCallback cb) {
+  resolve(household, [this, household, cb = std::move(cb)](
+                         util::Result<traversal::Advertisement> adv,
+                         std::uint32_t shard) {
+    using Conn = util::Result<std::shared_ptr<transport::TcpConnection>>;
+    if (!adv.ok()) {
+      cb(Conn::failure(adv.error().code, adv.error().message));
+      return;
+    }
+    if (adv.value().method == traversal::ReachMethod::kUnreachable) {
+      cb(Conn::failure("unreachable", "household HPoP is unreachable"));
+      return;
+    }
+    if (adv.value().rendezvous_required) {
+      rendezvous_and_connect(adv.value(), household, shard, cb);
+    } else {
+      cb(mux_.tcp_connect(adv.value().endpoint));
+    }
+  });
+}
 
-ShardedDirectoryRegistration::ShardedDirectoryRegistration(
+void DirectoryClient::rendezvous_and_connect(
+    const traversal::Advertisement& adv, const std::string& household,
+    std::uint32_t shard, ConnectCallback cb) {
+  using Conn = util::Result<std::shared_ptr<transport::TcpConnection>>;
+  sim::Simulator& sim = mux_.simulator();
+  // Pre-choose our source port and announce it, so the HPoP can punch the
+  // exact (address, port) pair even through port-restricted filters.
+  const std::uint16_t source_port = mux_.host().allocate_port();
+  auto control = mux_.tcp_connect(shards_[shard]);
+  auto req = std::make_shared<DirRendezvousRequest>();
+  req->household = household;
+  req->client = {mux_.host().address(), source_port};
+  req->txn = next_txn_++;
+  control->set_on_established([control, req] { control->send(req); });
+  auto done = std::make_shared<bool>(false);
+  // An HPoP that went down after registering never answers: bound the
+  // wait like any other directory attempt.
+  auto timer = std::make_shared<sim::TimerId>(
+      sim.schedule(cfg_.attempt_timeout, [control, cb, done] {
+        if (*done) return;
+        *done = true;
+        control->abort();
+        cb(Conn::failure("rendezvous_failed",
+                         "HPoP did not answer the rendezvous in time"));
+      }));
+  control->set_on_message([this, control, adv, source_port, cb, done,
+                           timer](net::PayloadPtr msg) {
+    const auto ready =
+        std::dynamic_pointer_cast<const DirRendezvousReady>(msg);
+    if (!ready || *done) return;
+    *done = true;
+    mux_.simulator().cancel(*timer);
+    control->close();
+    if (!ready->ok) {
+      cb(Conn::failure(ready->busy ? "directory_busy" : "rendezvous_failed",
+                       ready->busy ? "directory overloaded; retry after " +
+                                         std::to_string(ready->retry_after_s) +
+                                         "s"
+                                   : "HPoP did not acknowledge rendezvous"));
+      return;
+    }
+    transport::TcpOptions opts;
+    opts.local_port = source_port;
+    cb(mux_.tcp_connect(adv.endpoint, opts));
+  });
+  control->set_on_reset([this, cb, done, timer] {
+    if (*done) return;
+    *done = true;
+    mux_.simulator().cancel(*timer);
+    cb(Conn::failure("directory_unreachable", "could not reach directory"));
+  });
+}
+
+// --- DirectoryRegistration -------------------------------------------------
+
+DirectoryRegistration::DirectoryRegistration(
     transport::TransportMux& mux, const HashRing* ring,
     std::vector<net::Endpoint> shards, std::string household,
     DirRegistrationConfig cfg, util::Rng rng,
@@ -393,11 +474,11 @@ ShardedDirectoryRegistration::ShardedDirectoryRegistration(
   ring_->replicas(household_, cfg_.replication, replicas_);
 }
 
-ShardedDirectoryRegistration::~ShardedDirectoryRegistration() {
+DirectoryRegistration::~DirectoryRegistration() {
   cancel_timers();
 }
 
-void ShardedDirectoryRegistration::cancel_timers() {
+void DirectoryRegistration::cancel_timers() {
   for (ReplicaLoop& loop : loops_) {
     if (loop.ack_armed) {
       mux_.simulator().cancel(loop.ack_timer);
@@ -410,7 +491,7 @@ void ShardedDirectoryRegistration::cancel_timers() {
   }
 }
 
-void ShardedDirectoryRegistration::register_advertisement(
+void DirectoryRegistration::register_advertisement(
     const traversal::Advertisement& adv) {
   adv_ = adv;
   if (loops_.empty()) {
@@ -422,7 +503,7 @@ void ShardedDirectoryRegistration::register_advertisement(
   for (std::size_t i = 0; i < loops_.size(); ++i) attempt_register(i);
 }
 
-void ShardedDirectoryRegistration::attempt_register(std::size_t li) {
+void DirectoryRegistration::attempt_register(std::size_t li) {
   ReplicaLoop& loop = loops_[li];
   if (!loop.control) {
     loop.control = mux_.tcp_connect(shards_[loop.shard]);
@@ -484,7 +565,7 @@ void ShardedDirectoryRegistration::attempt_register(std::size_t li) {
   loop.ack_armed = true;
 }
 
-void ShardedDirectoryRegistration::fail_attempt(std::size_t li) {
+void DirectoryRegistration::fail_attempt(std::size_t li) {
   ReplicaLoop& loop = loops_[li];
   if (loop.ack_armed) {
     mux_.simulator().cancel(loop.ack_timer);
@@ -516,7 +597,7 @@ DirectoryCluster::DirectoryCluster(std::vector<net::Host*> hosts,
                                    DirClusterConfig cfg, util::Rng rng)
     : cfg_(cfg) {
   cfg_.shards = hosts.size();
-  ring_ = HashRing(cfg_.shards, cfg_.ring_seed, cfg_.vnodes);
+  ring_ = HashRing(cfg_.shards);
   slots_.resize(hosts.size());
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     slots_[i].host = hosts[i];
@@ -538,7 +619,6 @@ void DirectoryCluster::build_shard(std::size_t i, bool recover) {
   slot.wal = std::make_unique<durable::Wal>(*slot.device, "directory.wal");
   DirShardConfig scfg;
   scfg.shard_id = static_cast<std::uint32_t>(i);
-  scfg.port = cfg_.port;
   scfg.replication = cfg_.replication;
   scfg.anti_entropy_interval = cfg_.anti_entropy_interval;
   scfg.lease_ttl = cfg_.lease_ttl;
@@ -554,7 +634,7 @@ std::vector<net::Endpoint> DirectoryCluster::endpoints() const {
   std::vector<net::Endpoint> eps;
   eps.reserve(slots_.size());
   for (const ShardSlot& slot : slots_) {
-    eps.push_back({slot.host->address(), cfg_.port});
+    eps.push_back({slot.host->address(), DirectoryServer::kDefaultPort});
   }
   return eps;
 }
@@ -591,14 +671,6 @@ bool DirectoryCluster::resolves(const std::string& household) const {
     if (shard != nullptr && shard->would_resolve(household)) return true;
   }
   return false;
-}
-
-std::size_t DirectoryCluster::total_registered() const {
-  std::size_t n = 0;
-  for (const ShardSlot& slot : slots_) {
-    if (slot.shard) n += slot.shard->registered();
-  }
-  return n;
 }
 
 std::uint64_t DirectoryCluster::fingerprint() const {

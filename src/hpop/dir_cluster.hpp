@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +21,9 @@ namespace hpop::core {
 /// from its WAL catch up on the registrations it missed while down. The
 /// client-visible namespace (household names) stays decoupled from which
 /// shard answers — clients walk the same ring and fail over between
-/// replicas with the shared RetryPolicy/CircuitBreaker machinery.
+/// replicas with the shared RetryPolicy/CircuitBreaker machinery. A single
+/// DirectoryServer is a one-shard ring, served by the same client and
+/// registration.
 
 // --- Consistent-hash ring -------------------------------------------------
 
@@ -29,8 +32,14 @@ namespace hpop::core {
 /// without any metadata exchange.
 class HashRing {
  public:
+  /// The seed and virtual-node count every DirectoryCluster builds its
+  /// ring with.
+  static constexpr std::uint64_t kSeed = 0x52494e47;  // "RING"
+  static constexpr int kVnodes = 16;
+
   HashRing() = default;
-  HashRing(std::size_t shards, std::uint64_t seed, int vnodes = 16);
+  explicit HashRing(std::size_t shards, std::uint64_t seed = kSeed,
+                    int vnodes = kVnodes);
 
   std::size_t shards() const { return shards_; }
 
@@ -40,8 +49,6 @@ class HashRing {
                 std::vector<std::uint32_t>& out) const;
   std::vector<std::uint32_t> replicas(std::string_view household,
                                       std::size_t r) const;
-  /// The household's primary (first replica).
-  std::uint32_t primary(std::string_view household) const;
 
   std::uint64_t fingerprint() const;
 
@@ -88,7 +95,6 @@ struct DirSyncAck : net::Payload {
 
 struct DirShardConfig {
   std::uint32_t shard_id = 0;
-  std::uint16_t port = 5300;
   std::size_t replication = 2;
   /// 0 disables the periodic push (eager replication still runs).
   util::Duration anti_entropy_interval = 5 * util::kSecond;
@@ -147,7 +153,7 @@ class DirectoryShard : public DirectoryServer {
   std::vector<std::uint32_t> scratch_;
 };
 
-// --- Client-side: shard-aware lookup with replica failover -----------------
+// --- Device-side: lookup with replica failover, and connect ---------------
 
 struct DirClientConfig {
   std::size_t replication = 2;
@@ -166,15 +172,25 @@ struct DirClientConfig {
 /// A found answer wins immediately; not_found is only final once every
 /// reachable replica agreed (a freshly recovered shard may genuinely be
 /// missing entries its replicas still hold).
-class ShardedDirectoryClient {
+class DirectoryClient {
  public:
-  ShardedDirectoryClient(transport::TransportMux& mux, const HashRing* ring,
-                         std::vector<net::Endpoint> shards,
-                         DirClientConfig cfg, util::Rng rng);
+  DirectoryClient(transport::TransportMux& mux, const HashRing* ring,
+                  std::vector<net::Endpoint> shards, DirClientConfig cfg,
+                  util::Rng rng);
 
   using LookupCallback =
       std::function<void(util::Result<traversal::Advertisement>)>;
   void lookup(const std::string& household, LookupCallback cb);
+
+  /// Full flow: resolve the household and produce a TCP connection to its
+  /// HPoP service. When the advertisement asks for a rendezvous, the
+  /// replica that answered the lookup relays it (its entry holds the
+  /// HPoP's control connection), bounded by attempt_timeout. This is the
+  /// "connect to home from anywhere" primitive every HPoP application
+  /// builds on.
+  using ConnectCallback = std::function<void(
+      util::Result<std::shared_ptr<transport::TcpConnection>>)>;
+  void connect(const std::string& household, ConnectCallback cb);
 
   struct Stats {
     std::uint64_t lookups = 0;
@@ -189,6 +205,14 @@ class ShardedDirectoryClient {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// lookup, also naming the shard that answered (on success only).
+  using ResolveCallback = std::function<void(
+      util::Result<traversal::Advertisement>, std::uint32_t shard)>;
+  void resolve(const std::string& household, ResolveCallback cb);
+  void rendezvous_and_connect(const traversal::Advertisement& adv,
+                              const std::string& household,
+                              std::uint32_t shard, ConnectCallback cb);
+
   struct Pending;
   void attempt(const std::shared_ptr<Pending>& p);
   void next_attempt(const std::shared_ptr<Pending>& p);
@@ -225,16 +249,16 @@ struct DirRegistrationConfig {
 /// off — anti-entropy only has to repair replicas that were down, not
 /// carry the steady-state freshness. An ack means the entry is WAL-durable
 /// on at least one replica — the zero acked-registration-loss invariant
-/// benches gate on.
-class ShardedDirectoryRegistration {
+/// benches gate on. With `reach` set, a rendezvous request arriving on any
+/// loop's control connection punches the NAT and is answered ready.
+class DirectoryRegistration {
  public:
-  ShardedDirectoryRegistration(transport::TransportMux& mux,
-                               const HashRing* ring,
-                               std::vector<net::Endpoint> shards,
-                               std::string household,
-                               DirRegistrationConfig cfg, util::Rng rng,
-                               traversal::ReachabilityManager* reach = nullptr);
-  ~ShardedDirectoryRegistration();
+  DirectoryRegistration(transport::TransportMux& mux, const HashRing* ring,
+                        std::vector<net::Endpoint> shards,
+                        std::string household, DirRegistrationConfig cfg,
+                        util::Rng rng,
+                        traversal::ReachabilityManager* reach = nullptr);
+  ~DirectoryRegistration();
 
   void register_advertisement(const traversal::Advertisement& adv);
 
@@ -284,12 +308,11 @@ class ShardedDirectoryRegistration {
 
 // --- Cluster owner ---------------------------------------------------------
 
+/// Every shard listens on DirectoryServer::kDefaultPort, and the ring is
+/// HashRing(shards) with its default seed and virtual nodes.
 struct DirClusterConfig {
   std::size_t shards = 4;
   std::size_t replication = 2;
-  std::uint16_t port = 5300;
-  int vnodes = 16;
-  std::uint64_t ring_seed = 0x52494e47;  // "RING"
   util::Duration lease_ttl = 30 * util::kSecond;
   util::Duration anti_entropy_interval = 5 * util::kSecond;
 };
@@ -330,7 +353,6 @@ class DirectoryCluster {
   /// and lease unexpired.)
   bool resolves(const std::string& household) const;
 
-  std::size_t total_registered() const;
   std::uint64_t fingerprint() const;
   DirectoryShard::SyncStats sync_totals() const;
 

@@ -159,17 +159,23 @@ void DirectoryServer::handle_message(
       conn->send(ready);
       return;
     }
-    rendezvous_waiters_[rdv->txn] = conn;
-    r->control->send(std::make_shared<DirRendezvousRequest>(*rdv));
+    const std::uint64_t relay = next_relay_id_++;
+    rendezvous_waiters_[relay] = {conn, rdv->txn};
+    auto forward = std::make_shared<DirRendezvousRequest>(*rdv);
+    forward->txn = relay;
+    r->control->send(forward);
     return;
   }
   if (const auto ready =
           std::dynamic_pointer_cast<const DirRendezvousReady>(msg)) {
-    // Relayed back from the HPoP to the waiting requester.
+    // Relayed back from the HPoP to the waiting requester, under the
+    // requester's own txn.
     const auto it = rendezvous_waiters_.find(ready->txn);
     if (it == rendezvous_waiters_.end()) return;
-    if (const auto waiter = it->second.lock()) {
-      waiter->send(std::make_shared<DirRendezvousReady>(*ready));
+    if (const auto waiter = it->second.requester.lock()) {
+      auto relayed = std::make_shared<DirRendezvousReady>(*ready);
+      relayed->txn = it->second.txn;
+      waiter->send(relayed);
     }
     rendezvous_waiters_.erase(it);
     return;
@@ -297,137 +303,6 @@ std::uint64_t DirectoryServer::fingerprint() const {
 void DirectoryServer::enable_admission(overload::AdmissionConfig config) {
   admission_ = std::make_unique<overload::AdmissionController>(
       mux_.simulator(), "hpop.directory", config);
-}
-
-DirectoryRegistration::DirectoryRegistration(
-    transport::TransportMux& mux, net::Endpoint directory,
-    std::string household, traversal::ReachabilityManager& reach)
-    : household_(std::move(household)),
-      reach_(reach),
-      control_(mux.tcp_connect(directory)) {
-  control_->set_on_message([this](net::PayloadPtr msg) {
-    if (const auto rdv =
-            std::dynamic_pointer_cast<const DirRendezvousRequest>(msg)) {
-      // A client is about to connect: punch so its SYN traverses our NAT,
-      // then confirm readiness through the directory.
-      reach_.expect_peer(rdv->client);
-      auto ready = std::make_shared<DirRendezvousReady>();
-      ready->txn = rdv->txn;
-      ready->ok = true;
-      control_->send(ready);
-      return;
-    }
-    if (const auto ack =
-            std::dynamic_pointer_cast<const DirRegisterAck>(msg)) {
-      if (ack->ok) ++acks_;
-    }
-  });
-}
-
-void DirectoryRegistration::register_advertisement(
-    const traversal::Advertisement& adv) {
-  auto reg = std::make_shared<DirRegister>();
-  reg->household = household_;
-  reg->advertisement = adv;
-  reg->txn = next_txn_++;
-  control_->send(reg);
-}
-
-void DirectoryClient::lookup(const std::string& household,
-                             LookupCallback cb) {
-  auto conn = mux_.tcp_connect(directory_);
-  auto req = std::make_shared<DirLookupRequest>();
-  req->household = household;
-  req->txn = next_txn_++;
-  conn->set_on_established([conn, req] { conn->send(req); });
-  auto done = std::make_shared<bool>(false);
-  conn->set_on_message([conn, cb, done](net::PayloadPtr msg) {
-    const auto resp = std::dynamic_pointer_cast<const DirLookupResponse>(msg);
-    if (!resp || *done) return;
-    *done = true;
-    conn->close();
-    if (resp->busy) {
-      cb(util::Result<traversal::Advertisement>::failure(
-          "directory_busy",
-          "directory overloaded; retry after " +
-              std::to_string(resp->retry_after_s) + "s"));
-      return;
-    }
-    if (!resp->found) {
-      cb(util::Result<traversal::Advertisement>::failure(
-          "not_found", "household not registered"));
-      return;
-    }
-    cb(resp->advertisement);
-  });
-  conn->set_on_reset([cb, done] {
-    if (*done) return;
-    *done = true;
-    cb(util::Result<traversal::Advertisement>::failure(
-        "directory_unreachable", "could not reach directory"));
-  });
-}
-
-void DirectoryClient::connect(const std::string& household,
-                              ConnectCallback cb) {
-  lookup(household, [this, household, cb](
-                        util::Result<traversal::Advertisement> adv) {
-    if (!adv.ok()) {
-      cb(util::Result<std::shared_ptr<transport::TcpConnection>>::failure(
-          adv.error().code, adv.error().message));
-      return;
-    }
-    if (adv.value().method == traversal::ReachMethod::kUnreachable) {
-      cb(util::Result<std::shared_ptr<transport::TcpConnection>>::failure(
-          "unreachable", "household HPoP is unreachable"));
-      return;
-    }
-    if (adv.value().rendezvous_required) {
-      rendezvous_and_connect(adv.value(), household, cb);
-    } else {
-      cb(mux_.tcp_connect(adv.value().endpoint));
-    }
-  });
-}
-
-void DirectoryClient::rendezvous_and_connect(
-    const traversal::Advertisement& adv, const std::string& household,
-    ConnectCallback cb) {
-  // Pre-choose our source port and announce it, so the HPoP can punch the
-  // exact (address, port) pair even through port-restricted filters.
-  const std::uint16_t source_port = mux_.host().allocate_port();
-  auto control = mux_.tcp_connect(directory_);
-  auto req = std::make_shared<DirRendezvousRequest>();
-  req->household = household;
-  req->client = {mux_.host().address(), source_port};
-  req->txn = next_txn_++;
-  control->set_on_established([control, req] { control->send(req); });
-  auto done = std::make_shared<bool>(false);
-  control->set_on_message([this, control, adv, source_port, cb,
-                           done](net::PayloadPtr msg) {
-    const auto ready =
-        std::dynamic_pointer_cast<const DirRendezvousReady>(msg);
-    if (!ready || *done) return;
-    *done = true;
-    control->close();
-    if (!ready->ok) {
-      cb(util::Result<std::shared_ptr<transport::TcpConnection>>::failure(
-          ready->busy ? "directory_busy" : "rendezvous_failed",
-          ready->busy ? "directory overloaded; retry after " +
-                            std::to_string(ready->retry_after_s) + "s"
-                      : "HPoP did not acknowledge rendezvous"));
-      return;
-    }
-    transport::TcpOptions opts;
-    opts.local_port = source_port;
-    cb(mux_.tcp_connect(adv.endpoint, opts));
-  });
-  control->set_on_reset([cb, done] {
-    if (*done) return;
-    *done = true;
-    cb(util::Result<std::shared_ptr<transport::TcpConnection>>::failure(
-        "directory_unreachable", "could not reach directory"));
-  });
 }
 
 }  // namespace hpop::core

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -90,7 +89,8 @@ struct DirRendezvousReady : net::Payload {
 /// HPoP stops resolving one lease after its last renewal.
 class DirectoryServer {
  public:
-  DirectoryServer(transport::TransportMux& mux, std::uint16_t port = 5300);
+  DirectoryServer(transport::TransportMux& mux,
+                  std::uint16_t port = kDefaultPort);
   virtual ~DirectoryServer();
   DirectoryServer(const DirectoryServer&) = delete;
   DirectoryServer& operator=(const DirectoryServer&) = delete;
@@ -142,6 +142,9 @@ class DirectoryServer {
 
   static constexpr std::uint8_t kWalRegister = 1;
   static constexpr util::Duration kDefaultLeaseTtl = util::kHour;
+  /// The port a directory listens on unless told otherwise; every
+  /// DirectoryCluster shard uses it.
+  static constexpr std::uint16_t kDefaultPort = 5300;
 
  protected:
   struct Registration {
@@ -204,58 +207,15 @@ class DirectoryServer {
   util::Duration sweep_interval_ = 0;
   sim::TimerId sweep_timer_{};
   bool sweep_armed_ = false;
-  // txn -> requester connection, for relaying rendezvous-ready.
-  std::map<std::uint64_t, std::weak_ptr<transport::TcpConnection>>
-      rendezvous_waiters_;
-};
-
-/// HPoP-side registration client: keeps the persistent connection, sends
-/// the advertisement, and punches on rendezvous notifications.
-class DirectoryRegistration {
- public:
-  DirectoryRegistration(transport::TransportMux& mux,
-                        net::Endpoint directory,
-                        std::string household,
-                        traversal::ReachabilityManager& reach);
-
-  void register_advertisement(const traversal::Advertisement& adv);
-
-  std::uint64_t acks() const { return acks_; }
-
- private:
-  std::string household_;
-  traversal::ReachabilityManager& reach_;
-  std::shared_ptr<transport::TcpConnection> control_;
-  std::uint64_t acks_ = 0;
-  std::uint64_t next_txn_ = 1;
-};
-
-/// Device-side resolver: lookup + (if required) rendezvous + connect.
-class DirectoryClient {
- public:
-  DirectoryClient(transport::TransportMux& mux, net::Endpoint directory)
-      : mux_(mux), directory_(directory) {}
-
-  using LookupCallback =
-      std::function<void(util::Result<traversal::Advertisement>)>;
-  void lookup(const std::string& household, LookupCallback cb);
-
-  /// Full flow: resolve the household and produce an established TCP
-  /// connection to its HPoP service, transparently handling punching or
-  /// relays. This is the "connect to home from anywhere" primitive every
-  /// HPoP application builds on.
-  using ConnectCallback = std::function<void(
-      util::Result<std::shared_ptr<transport::TcpConnection>>)>;
-  void connect(const std::string& household, ConnectCallback cb);
-
- private:
-  void rendezvous_and_connect(const traversal::Advertisement& adv,
-                              const std::string& household,
-                              ConnectCallback cb);
-
-  transport::TransportMux& mux_;
-  net::Endpoint directory_;
-  std::uint64_t next_txn_ = 1;
+  /// A rendezvous in flight, filed under the relay id the directory
+  /// assigned it: every client numbers its txns from 1, so two requesters'
+  /// txns can collide, and the relay id is what the HPoP echoes back.
+  struct RendezvousWaiter {
+    std::weak_ptr<transport::TcpConnection> requester;
+    std::uint64_t txn = 0;  // the requester's own, restored on the ready
+  };
+  std::map<std::uint64_t, RendezvousWaiter> rendezvous_waiters_;
+  std::uint64_t next_relay_id_ = 1;
 };
 
 }  // namespace hpop::core

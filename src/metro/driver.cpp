@@ -160,7 +160,7 @@ void MetroDriver::start_directory() {
     const bool silent = h >= dir_renewing_;
     rcfg.auto_renew = !silent;
     if (silent) rcfg.lease_s = config_.dir_silent_lease_s;
-    auto reg = std::make_unique<core::ShardedDirectoryRegistration>(
+    auto reg = std::make_unique<core::DirectoryRegistration>(
         *slot.mux, &cluster_->ring(), cluster_->endpoints(),
         topo_.homes[h]->name(), rcfg, rng_.fork());
     traversal::Advertisement adv;
@@ -181,7 +181,7 @@ MetroDriver::ClientSlot& MetroDriver::ensure_client(std::size_t home) {
         kProvider);
   }
   if (cluster_ && !slot.dir) {
-    slot.dir = std::make_unique<core::ShardedDirectoryClient>(
+    slot.dir = std::make_unique<core::DirectoryClient>(
         *slot.mux, &cluster_->ring(), cluster_->endpoints(),
         cluster_->client_config(), rng_.fork());
   }
@@ -215,7 +215,7 @@ void MetroDriver::dir_probe(ClientSlot& slot) {
       rng_.bernoulli(kDirSilentProbeP)) {
     const std::size_t idx =
         dir_renewing_ + rng_.uniform_index(config_.dir_silent_homes);
-    core::ShardedDirectoryRegistration* reg = dir_regs_[idx].get();
+    core::DirectoryRegistration* reg = dir_regs_[idx].get();
     ++stats_.dir_silent_probes;
     slot.dir->lookup(
         reg->household(),
@@ -299,8 +299,8 @@ double MetroDriver::dir_success_rate() const {
              : 1.0;
 }
 
-core::ShardedDirectoryClient::Stats MetroDriver::dir_client_totals() const {
-  core::ShardedDirectoryClient::Stats total;
+core::DirectoryClient::Stats MetroDriver::dir_client_totals() const {
+  core::DirectoryClient::Stats total;
   for (const auto& slot : clients_) {
     if (!slot.dir) continue;
     const auto& s = slot.dir->stats();

@@ -115,7 +115,7 @@ class MetroDriver {
   const core::DirectoryCluster* directory() const { return cluster_.get(); }
   /// The household registrations the driver keeps alive (renewing first,
   /// then the silent ones).
-  const std::vector<std::unique_ptr<core::ShardedDirectoryRegistration>>&
+  const std::vector<std::unique_ptr<core::DirectoryRegistration>>&
   dir_registrations() const {
     return dir_regs_;
   }
@@ -127,7 +127,7 @@ class MetroDriver {
   /// Sum of every per-home lookup client's counters (includes warmup
   /// traffic) — the failure breakdown behind dir_failed: not_found vs
   /// unreachable, plus failover and timeout volume.
-  core::ShardedDirectoryClient::Stats dir_client_totals() const;
+  core::DirectoryClient::Stats dir_client_totals() const;
 
  private:
   struct PeerSlot {
@@ -138,7 +138,7 @@ class MetroDriver {
     std::unique_ptr<transport::TransportMux> mux;
     std::unique_ptr<http::HttpClient> http;
     std::unique_ptr<nocdn::LoaderClient> loader;
-    std::unique_ptr<core::ShardedDirectoryClient> dir;
+    std::unique_ptr<core::DirectoryClient> dir;
   };
   struct AtticPair {
     std::size_t store_home = 0;
@@ -173,7 +173,7 @@ class MetroDriver {
   std::size_t peer_stride_ = 1;
 
   std::unique_ptr<core::DirectoryCluster> cluster_;
-  std::vector<std::unique_ptr<core::ShardedDirectoryRegistration>> dir_regs_;
+  std::vector<std::unique_ptr<core::DirectoryRegistration>> dir_regs_;
   std::size_t dir_region_begin_ = 0;  // first shard-host home index
   std::size_t dir_renewing_ = 0;      // dir_regs_[0, dir_renewing_) renew
   std::vector<util::Duration> dir_latencies_;  // post-warmup completions

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "net/node.hpp"
 #include "telemetry/trace.hpp"
+#include "util/check.hpp"
 #include "util/logging.hpp"
 
 namespace hpop::net {
@@ -71,19 +70,14 @@ void Link::set_params(LinkParams params) {
   params.loss = std::clamp(params.loss, 0.0, 1.0);
   for (int d = 0; d < 2; ++d) {
     Direction& dir = dir_[d];
-    if (dir.sink != nullptr && params.delay < dir.sink->min_delay()) {
-      // The parallel engine's epochs rely on this bound: stop in every
-      // build type rather than deliver a packet inside its own epoch.
-      const Interface& from = d == 0 ? a_ : b_;
-      const Interface& to = d == 0 ? b_ : a_;
-      std::fprintf(stderr,
-                   "net::Link %s->%s: staged delay %lld ns < delay floor "
-                   "%lld ns\n",
-                   from.node->name().c_str(), to.node->name().c_str(),
-                   static_cast<long long>(params.delay),
-                   static_cast<long long>(dir.sink->min_delay()));
-      std::abort();
-    }
+    // The parallel engine's epochs rely on this bound: stop in every build
+    // type rather than deliver a packet inside its own epoch.
+    HPOP_CHECK(dir.sink == nullptr || params.delay >= dir.sink->min_delay(),
+               "net::Link %s->%s: staged delay %lld ns < delay floor %lld ns",
+               (d == 0 ? a_ : b_).node->name().c_str(),
+               (d == 0 ? b_ : a_).node->name().c_str(),
+               static_cast<long long>(params.delay),
+               static_cast<long long>(dir.sink->min_delay()));
     LinkParams staged = params;
     if (staged.rate <= 0) staged.rate = dir.pending_params.rate;
     dir.pending_params = staged;

@@ -1,8 +1,6 @@
 #include "net/pool.hpp"
 
-#include <cassert>
-#include <cstdio>
-#include <cstdlib>
+#include "util/check.hpp"
 
 namespace hpop::net {
 
@@ -48,8 +46,10 @@ Packet* PacketPool::try_get(std::uint32_t idx, std::uint32_t gen) {
 
 void PacketPool::release(std::uint32_t idx, std::uint32_t gen) {
   Slot& s = slot_at(idx);
-  assert(s.live && s.gen == gen);
-  (void)gen;
+  HPOP_CHECK(s.live && s.gen == gen,
+             "net::PacketPool: releasing slot %u at generation %u, but the "
+             "slot is %s at generation %u",
+             idx, gen, s.live ? "live" : "free", s.gen);
   s.live = false;
   ++s.gen;  // stale handles to this slot stop resolving
   --stats_.live;
@@ -76,13 +76,10 @@ void PacketPool::release(std::uint32_t idx, std::uint32_t gen) {
 void PacketFifo::push(PooledPacket pkt, util::TimePoint at) {
   // Mixing pools would chain slot indices of one arena into another's:
   // stop in every build type rather than corrupt both.
-  if (pkt.pool_ == nullptr || (pool_ != nullptr && pkt.pool_ != pool_)) {
-    std::fprintf(stderr,
-                 "net::PacketFifo: packet from pool %p pushed onto a FIFO "
-                 "of pool %p; a FIFO holds one pool's packets\n",
-                 static_cast<void*>(pkt.pool_), static_cast<void*>(pool_));
-    std::abort();
-  }
+  HPOP_CHECK(pkt.pool_ != nullptr && (pool_ == nullptr || pkt.pool_ == pool_),
+             "net::PacketFifo: packet from pool %p pushed onto a FIFO of "
+             "pool %p; a FIFO holds one pool's packets",
+             static_cast<void*>(pkt.pool_), static_cast<void*>(pool_));
   pool_ = pkt.pool_;
   const std::uint32_t idx = pkt.idx_;
   pkt.pool_ = nullptr;  // the FIFO owns the slot now

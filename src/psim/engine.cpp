@@ -1,23 +1,14 @@
 #include "psim/engine.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "net/node.hpp"
+#include "util/check.hpp"
 
 namespace hpop::psim {
 
 namespace {
-
-/// A broken engine precondition: the epoch bound would be unsound, so stop
-/// in every build type rather than produce causality-violating results.
-[[noreturn]] void fail(const std::string& what) {
-  std::fprintf(stderr, "psim::Engine: %s\n", what.c_str());
-  std::abort();
-}
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -75,9 +66,10 @@ Engine::Engine(const Config& cfg)
     : cfg_(cfg),
       stride_(std::max<std::size_t>(cfg.workers, 1)),
       errors_(stride_) {
-  if (cfg_.lookahead <= 0) {
-    fail("lookahead " + std::to_string(cfg_.lookahead) + " ns must be > 0");
-  }
+  // A broken engine precondition makes the epoch bound unsound: stop in
+  // every build type rather than produce causality-violating results.
+  HPOP_CHECK(cfg_.lookahead > 0, "psim::Engine: lookahead %lld ns must be > 0",
+             static_cast<long long>(cfg_.lookahead));
   threads_.reserve(stride_ - 1);
   try {
     for (std::size_t w = 1; w < stride_; ++w) {
@@ -123,11 +115,11 @@ void Engine::bind_local(net::Link* link, std::size_t p) {
 void Engine::bind_boundary(net::Link* link, int dir, std::size_t from,
                            std::size_t to) {
   const util::Duration delay = link->params_of(dir).delay;
-  if (delay < cfg_.lookahead) {
-    fail("boundary " + std::to_string(from) + "->" + std::to_string(to) +
-         " delay " + std::to_string(delay) + " ns < lookahead " +
-         std::to_string(cfg_.lookahead) + " ns");
-  }
+  HPOP_CHECK(delay >= cfg_.lookahead,
+             "psim::Engine: boundary %zu->%zu delay %lld ns < lookahead "
+             "%lld ns",
+             from, to, static_cast<long long>(delay),
+             static_cast<long long>(cfg_.lookahead));
   link->bind_shard(dir, &sim(from), crossing(from, to));
 }
 

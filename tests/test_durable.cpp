@@ -610,7 +610,10 @@ TEST(DirectoryDurability, RegistrationsSurviveDirectoryCrash) {
 
   // Lookups answer from the recovered advertisement immediately, before
   // the HPoP's persistent connection is re-established.
-  core::DirectoryClient client(*mux_device, {dir_host.address(), 5300});
+  const core::HashRing ring(1);
+  core::DirectoryClient client(*mux_device, &ring,
+                               {{dir_host.address(), 5300}},
+                               core::DirClientConfig{}, util::Rng(1));
   std::optional<traversal::Advertisement> adv;
   client.lookup("smith-family",
                 [&](util::Result<traversal::Advertisement> r) {

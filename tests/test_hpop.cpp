@@ -96,8 +96,77 @@ TEST(Tokens, DecodeRejectsGarbage) {
 
 // ----------------------------------------------------- Directory + boot
 
+/// A device's client of one directory server: a one-shard ring.
+DirectoryClient one_directory_client(transport::TransportMux& mux,
+                                     net::Endpoint directory) {
+  static const HashRing ring(1);
+  return DirectoryClient(mux, &ring, {directory}, DirClientConfig{},
+                         util::Rng(1));
+}
+
+/// Resolves `household` and runs `sim` 2 s forward; "ok" or an error code.
+std::string resolve_code(sim::Simulator& sim, DirectoryClient& client,
+                         const std::string& household) {
+  std::string code = "no_reply";
+  client.lookup(household, [&](util::Result<traversal::Advertisement> r) {
+    code = r.ok() ? "ok" : r.error().code;
+  });
+  sim.run_until(sim.now() + 2 * kSecond);
+  return code;
+}
+
+/// Connects to `household`'s HPoP and asks it for its landing page, which
+/// lands in `landing`; a failed connect leaves its code in `error`.
+void fetch_landing_page(DirectoryClient& client, const std::string& household,
+                        std::string& landing, std::string& error) {
+  client.connect(
+      household,
+      [&](util::Result<std::shared_ptr<transport::TcpConnection>> r) {
+        if (!r.ok()) {
+          error = r.error().code;
+          return;
+        }
+        auto conn = r.value();
+        conn->set_on_message([&, conn](net::PayloadPtr msg) {
+          if (const auto resp =
+                  std::dynamic_pointer_cast<const http::ResponsePayload>(
+                      msg)) {
+            landing = resp->response.body.text();
+          }
+        });
+        http::Request req;
+        req.path = "/";
+        // Raw request over the established connection (the device-side
+        // HttpClient pools by endpoint; here the endpoint may be punched,
+        // so we reuse the rendezvous connection directly).
+        conn->send(std::make_shared<http::RequestPayload>(std::move(req)));
+      });
+}
+
+/// The HPoP's side of traversal: the home's gateway, and STUN, TURN and
+/// the reflector on `infra`.
+traversal::ReachabilityConfig reachability_via(const net::Home& home,
+                                               const net::Host& infra) {
+  traversal::ReachabilityConfig rc;
+  rc.home_gateway = home.nat;
+  rc.stun_server = net::Endpoint{infra.address(), 3478};
+  rc.turn_server = net::Endpoint{infra.address(), 3479};
+  rc.reflector = net::Endpoint{infra.address(), 7100};
+  return rc;
+}
+
+/// A port-restricted NAT without UPnP: the HPoP punches, and a device
+/// needs a rendezvous to reach it.
+net::NatConfig punch_nat() {
+  auto c = net::NatConfig::port_restricted_cone();
+  c.upnp_enabled = false;
+  return c;
+}
+
 /// A world with a directory + traversal infrastructure on one public host,
-/// an HPoP home behind a configurable NAT, and a roaming device.
+/// an HPoP home behind a configurable NAT, and a roaming device (two when
+/// asked: the second is built after everything else, so the one-device
+/// world is unchanged).
 struct HpopWorld {
   sim::Simulator sim;
   net::Network net{sim, util::Rng(47)};
@@ -112,8 +181,10 @@ struct HpopWorld {
   std::unique_ptr<traversal::Reflector> reflector;
   std::unique_ptr<DirectoryServer> directory;
   std::unique_ptr<Hpop> hpop;
+  net::Host* device2 = nullptr;
+  std::unique_ptr<transport::TransportMux> mux_device2;
 
-  explicit HpopWorld(net::NatConfig nat_config) {
+  explicit HpopWorld(net::NatConfig nat_config, bool second_device = false) {
     core = &net.add_router("core");
     infra = &net.add_host("infra", net.next_public_address());
     net.connect(*infra, infra->address(), *core, net::IpAddr{},
@@ -123,6 +194,11 @@ struct HpopWorld {
                 net::LinkParams{100 * util::kMbps, 15 * util::kMillisecond});
     home = net::make_home(net, "home", *core, 1, nat_config,
                           net::PathParams{});
+    if (second_device) {
+      device2 = &net.add_host("device2", net.next_public_address());
+      net.connect(*device2, device2->address(), *core, net::IpAddr{},
+                  net::LinkParams{100 * util::kMbps, 15 * util::kMillisecond});
+    }
     net.auto_route();
 
     mux_infra = std::make_unique<transport::TransportMux>(*infra);
@@ -134,18 +210,22 @@ struct HpopWorld {
 
     HpopConfig config;
     config.household = "smith-family";
-    config.reachability.home_gateway = home.nat;
-    config.reachability.stun_server = net::Endpoint{infra->address(), 3478};
-    config.reachability.turn_server = net::Endpoint{infra->address(), 3479};
-    config.reachability.reflector = net::Endpoint{infra->address(), 7100};
+    config.reachability = reachability_via(home, *infra);
     config.directory = net::Endpoint{infra->address(), 5300};
     hpop = std::make_unique<Hpop>(*home.hosts[0], config);
+    if (second_device) {
+      mux_device2 = std::make_unique<transport::TransportMux>(*device2);
+    }
+  }
+
+  DirectoryClient client(transport::TransportMux& mux) {
+    return one_directory_client(mux, {infra->address(), 5300});
   }
 };
 
 TEST(Directory, LookupUnknownHouseholdFails) {
   HpopWorld w(net::NatConfig::full_cone());
-  DirectoryClient client(*w.mux_device, {w.infra->address(), 5300});
+  DirectoryClient client = w.client(*w.mux_device);
   std::string code;
   client.lookup("nobody", [&](util::Result<traversal::Advertisement> r) {
     code = r.error().code;
@@ -161,7 +241,7 @@ TEST(Directory, BootRegistersAndLookupFinds) {
   EXPECT_TRUE(w.hpop->online());
   EXPECT_EQ(w.directory->registered(), 1u);
 
-  DirectoryClient client(*w.mux_device, {w.infra->address(), 5300});
+  DirectoryClient client = w.client(*w.mux_device);
   std::optional<traversal::Advertisement> adv;
   client.lookup("smith-family",
                 [&](util::Result<traversal::Advertisement> r) {
@@ -187,28 +267,11 @@ TEST_P(ConnectFromAnywhere, DeviceReachesHpopLandingPage) {
   w.sim.run_until(30 * kSecond);
   ASSERT_TRUE(w.hpop->online()) << GetParam().label;
 
-  DirectoryClient client(*w.mux_device, {w.infra->address(), 5300});
-  std::string landing;
-  client.connect(
-      "smith-family",
-      [&](util::Result<std::shared_ptr<transport::TcpConnection>> r) {
-        ASSERT_TRUE(r.ok()) << r.error().message;
-        auto conn = r.value();
-        conn->set_on_message([&, conn](net::PayloadPtr msg) {
-          if (const auto resp =
-                  std::dynamic_pointer_cast<const http::ResponsePayload>(
-                      msg)) {
-            landing = resp->response.body.text();
-          }
-        });
-        http::Request req;
-        req.path = "/";
-        // Raw request over the established connection (the device-side
-        // HttpClient pools by endpoint; here the endpoint may be punched,
-        // so we reuse the rendezvous connection directly).
-        conn->send(std::make_shared<http::RequestPayload>(std::move(req)));
-      });
+  DirectoryClient client = w.client(*w.mux_device);
+  std::string landing, error;
+  fetch_landing_page(client, "smith-family", landing, error);
   w.sim.run_until(90 * kSecond);
+  EXPECT_EQ(error, "") << GetParam().label;
   EXPECT_NE(landing.find("smith-family"), std::string::npos)
       << GetParam().label;
 }
@@ -217,18 +280,60 @@ INSTANTIATE_TEST_SUITE_P(
     NatTypes, ConnectFromAnywhere,
     ::testing::Values(
         ConnectCase{net::NatConfig::full_cone(), "upnp"},
-        ConnectCase{[] {
-                      auto c = net::NatConfig::port_restricted_cone();
-                      c.upnp_enabled = false;
-                      return c;
-                    }(),
-                    "stun-punch"},
+        ConnectCase{punch_nat(), "stun-punch"},
         ConnectCase{[] {
                       auto c = net::NatConfig::symmetric();
                       c.upnp_enabled = false;
                       return c;
                     }(),
                     "turn-relay"}));
+
+TEST(Directory, BootedApplianceOutlivesItsFirstLease) {
+  // The directory grants an hour by default; the appliance renews at
+  // half-lease, so it still resolves two hours after boot.
+  HpopWorld w(net::NatConfig::full_cone());
+  w.hpop->boot();
+  w.sim.run_until(2 * util::kHour);
+  DirectoryClient client = w.client(*w.mux_device);
+  EXPECT_EQ(resolve_code(w.sim, client, "smith-family"), "ok");
+}
+
+TEST(Directory, SimultaneousRendezvousBothConnect) {
+  // Both devices' clients number their txns from 1, so the two rendezvous
+  // requests carry the same txn: the directory's relay ids keep them apart.
+  HpopWorld w(punch_nat(), /*second_device=*/true);
+  w.hpop->boot();
+  w.sim.run_until(30 * kSecond);
+  ASSERT_TRUE(w.hpop->advertisement().rendezvous_required);
+
+  DirectoryClient a = w.client(*w.mux_device);
+  DirectoryClient b = w.client(*w.mux_device2);
+  std::string landing_a, error_a, landing_b, error_b;
+  fetch_landing_page(a, "smith-family", landing_a, error_a);
+  fetch_landing_page(b, "smith-family", landing_b, error_b);
+  w.sim.run_until(60 * kSecond);
+  EXPECT_EQ(error_a, "");
+  EXPECT_EQ(error_b, "");
+  EXPECT_NE(landing_a.find("smith-family"), std::string::npos);
+  EXPECT_NE(landing_b.find("smith-family"), std::string::npos);
+}
+
+TEST(Directory, ConnectFailsWhenHpopWentDownAfterRegistering) {
+  HpopWorld w(punch_nat());
+  w.hpop->boot();
+  w.sim.run_until(30 * kSecond);
+  ASSERT_EQ(w.directory->registered(), 1u);
+  // The lease outlives the HPoP: the directory relays the rendezvous onto
+  // a control connection nobody answers.
+  w.home.hosts[0]->set_up(false);
+
+  DirectoryClient client = w.client(*w.mux_device);
+  std::string landing, error;
+  fetch_landing_page(client, "smith-family", landing, error);
+  w.sim.run_until(60 * kSecond);
+  EXPECT_EQ(error, "rendezvous_failed");
+  EXPECT_EQ(landing, "");
+}
 
 // -------------------------------------------- Leases + WAL recovery
 
@@ -298,13 +403,9 @@ struct DirWorld {
 
   /// Resolves `household` and runs the sim forward; "ok" or an error code.
   std::string lookup_code(std::uint16_t port, const std::string& household) {
-    DirectoryClient client(*mux_device, {server->address(), port});
-    std::string code = "no_reply";
-    client.lookup(household, [&](util::Result<traversal::Advertisement> r) {
-      code = r.ok() ? "ok" : r.error().code;
-    });
-    sim.run_until(sim.now() + 2 * kSecond);
-    return code;
+    DirectoryClient client =
+        one_directory_client(*mux_device, {server->address(), port});
+    return resolve_code(sim, client, household);
   }
 };
 
@@ -472,7 +573,6 @@ TEST(DirCluster, HashRingIsDeterministicWithDistinctReplicas) {
     EXPECT_NE(reps[0], reps[1]);
     EXPECT_NE(reps[1], reps[2]);
     EXPECT_NE(reps[0], reps[2]);
-    EXPECT_EQ(reps[0], r1.primary(h));
     ++primaries[reps[0]];
   }
   for (const std::size_t n : primaries) EXPECT_GT(n, 0u);
@@ -528,9 +628,8 @@ struct ClusterWorld {
 TEST(DirCluster, LookupFailsOverWhenPrimaryReplicaCrashes) {
   ClusterWorld w(3);
   const auto eps = w.cluster->endpoints();
-  ShardedDirectoryRegistration reg(*w.mux_hpop, &w.cluster->ring(), eps,
-                                   "casa", DirRegistrationConfig{},
-                                   util::Rng(7));
+  DirectoryRegistration reg(*w.mux_hpop, &w.cluster->ring(), eps, "casa",
+                            DirRegistrationConfig{}, util::Rng(7));
   reg.register_advertisement(w.adv());
   w.sim.run_until(2 * kSecond);
   ASSERT_TRUE(reg.acked());
@@ -544,8 +643,8 @@ TEST(DirCluster, LookupFailsOverWhenPrimaryReplicaCrashes) {
   w.cluster->register_with_chaos(chaos);
   chaos.crash_at(w.cluster->host(reps[0]).name(), 3 * kSecond, 6 * kSecond);
 
-  ShardedDirectoryClient client(*w.mux_device, &w.cluster->ring(), eps,
-                                w.cluster->client_config(), util::Rng(11));
+  DirectoryClient client(*w.mux_device, &w.cluster->ring(), eps,
+                         w.cluster->client_config(), util::Rng(11));
   std::string code = "no_reply";
   w.sim.schedule(4 * kSecond, [&] {
     client.lookup("casa", [&](util::Result<traversal::Advertisement> r) {
@@ -569,9 +668,9 @@ TEST(DirCluster, RegistrationFailsOverWhenPrimaryIsDown) {
   const auto reps = w.cluster->ring().replicas("casa", 2);
   chaos.crash_at(w.cluster->host(reps[0]).name(), kSecond, 8 * kSecond);
 
-  ShardedDirectoryRegistration reg(*w.mux_hpop, &w.cluster->ring(),
-                                   w.cluster->endpoints(), "casa",
-                                   DirRegistrationConfig{}, util::Rng(7));
+  DirectoryRegistration reg(*w.mux_hpop, &w.cluster->ring(),
+                            w.cluster->endpoints(), "casa",
+                            DirRegistrationConfig{}, util::Rng(7));
   w.sim.schedule(2 * kSecond, [&] { reg.register_advertisement(w.adv()); });
   w.sim.run_until(8 * kSecond);
   EXPECT_TRUE(reg.acked());
@@ -588,9 +687,9 @@ TEST(DirCluster, AntiEntropyCatchesUpAShardThatMissedWrites) {
   // the eager replica push and the WAL write miss it entirely.
   chaos.crash_at(w.cluster->host(reps[1]).name(), kSecond, 4 * kSecond);
 
-  ShardedDirectoryRegistration reg(*w.mux_hpop, &w.cluster->ring(),
-                                   w.cluster->endpoints(), "casa",
-                                   DirRegistrationConfig{}, util::Rng(7));
+  DirectoryRegistration reg(*w.mux_hpop, &w.cluster->ring(),
+                            w.cluster->endpoints(), "casa",
+                            DirRegistrationConfig{}, util::Rng(7));
   w.sim.schedule(2 * kSecond, [&] { reg.register_advertisement(w.adv()); });
   w.sim.run_until(3 * kSecond);
   ASSERT_TRUE(reg.acked());
@@ -605,6 +704,111 @@ TEST(DirCluster, AntiEntropyCatchesUpAShardThatMissedWrites) {
   EXPECT_GE(w.cluster->shard(reps[1])->sync_stats().entries_applied, 1u);
   EXPECT_GT(w.cluster->sync_totals().rounds, 0u);
 }
+
+/// Connect-from-anywhere through the replicated directory: traversal
+/// infrastructure on one public host, three directory shards, a home behind
+/// a port-restricted NAT, and a roaming device. The HPoP registers with
+/// every replica of its household on its own mux and ReachabilityManager.
+struct ClusterConnectWorld {
+  sim::Simulator sim;
+  net::Network net{sim, util::Rng(31)};
+  net::Host* infra;
+  net::Host* device;
+  std::vector<net::Host*> shard_hosts;
+  net::Home home;
+  std::unique_ptr<transport::TransportMux> mux_infra;
+  std::unique_ptr<transport::TransportMux> mux_device;
+  std::unique_ptr<traversal::StunServer> stun;
+  std::unique_ptr<traversal::TurnServer> turn;
+  std::unique_ptr<traversal::Reflector> reflector;
+  std::unique_ptr<DirectoryCluster> cluster;
+  std::unique_ptr<Hpop> hpop;
+  std::unique_ptr<DirectoryRegistration> registration;
+
+  ClusterConnectWorld() {
+    net::Router& core = net.add_router("core");
+    infra = &net.add_host("infra", net.next_public_address());
+    device = &net.add_host("device", net.next_public_address());
+    for (int i = 0; i < 3; ++i) {
+      shard_hosts.push_back(&net.add_host("shard-" + std::to_string(i),
+                                          net.next_public_address()));
+    }
+    std::vector<net::Host*> hosts = shard_hosts;
+    hosts.push_back(infra);
+    hosts.push_back(device);
+    for (net::Host* h : hosts) {
+      net.connect(*h, h->address(), core, net::IpAddr{},
+                  net::LinkParams{util::kGbps, 5 * util::kMillisecond});
+    }
+    home = net::make_home(net, "home", core, 1, punch_nat(),
+                          net::PathParams{});
+    net.auto_route();
+
+    mux_infra = std::make_unique<transport::TransportMux>(*infra);
+    mux_device = std::make_unique<transport::TransportMux>(*device);
+    stun = std::make_unique<traversal::StunServer>(*mux_infra, 3478);
+    turn = std::make_unique<traversal::TurnServer>(*mux_infra, 3479);
+    reflector = std::make_unique<traversal::Reflector>(*mux_infra, 7100);
+    cluster = std::make_unique<DirectoryCluster>(
+        shard_hosts, DirClusterConfig{}, util::Rng(5));
+
+    HpopConfig config;
+    config.household = "smith-family";
+    config.reachability = reachability_via(home, *infra);
+    hpop = std::make_unique<Hpop>(*home.hosts[0], config);
+    registration = std::make_unique<DirectoryRegistration>(
+        hpop->mux(), &cluster->ring(), cluster->endpoints(), "smith-family",
+        DirRegistrationConfig{}, util::Rng(7), &hpop->reachability());
+  }
+
+  void boot() {
+    hpop->boot([this](const traversal::Advertisement& adv) {
+      registration->register_advertisement(adv);
+    });
+  }
+
+  DirectoryClient client() {
+    return DirectoryClient(*mux_device, &cluster->ring(), cluster->endpoints(),
+                           cluster->client_config(), util::Rng(11));
+  }
+};
+
+/// Runs healthy, and with the household's primary replica crashed before
+/// the lookup: the client then fails over to the secondary, whose entry
+/// holds the HPoP's own control connection, and the rendezvous goes
+/// through it too.
+class ClusterConnect : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ClusterConnect, DeviceReachesHpopBehindPortRestrictedNat) {
+  const bool crash_primary = GetParam();
+  ClusterConnectWorld w;
+  w.boot();
+  w.sim.run_until(20 * kSecond);
+  ASSERT_TRUE(w.registration->acked());
+  ASSERT_TRUE(w.hpop->advertisement().rendezvous_required);
+  const auto reps = w.cluster->ring().replicas("smith-family", 2);
+  fault::ChaosController chaos(w.sim, util::Rng(9));
+  w.cluster->register_with_chaos(chaos);
+  if (crash_primary) {
+    chaos.crash_at(w.cluster->host(reps[0]).name(), 21 * kSecond,
+                   30 * kSecond);
+  }
+  w.sim.run_until(22 * kSecond);
+
+  DirectoryClient client = w.client();
+  std::string landing, error;
+  fetch_landing_page(client, "smith-family", landing, error);
+  w.sim.run_until(40 * kSecond);
+  EXPECT_EQ(error, "");
+  EXPECT_NE(landing.find("smith-family"), std::string::npos);
+  EXPECT_EQ(client.stats().failovers > 0, crash_primary);
+  EXPECT_EQ(w.cluster->shard(reps[0]) == nullptr, crash_primary);
+}
+
+INSTANTIATE_TEST_SUITE_P(DirCluster, ClusterConnect, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "PrimaryCrashed" : "Healthy";
+                         });
 
 }  // namespace
 }  // namespace hpop::core
