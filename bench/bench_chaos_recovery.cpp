@@ -22,10 +22,9 @@
 #include "durable/device.hpp"
 #include "durable/wal.hpp"
 #include "fault/fault.hpp"
-#include "http/server.hpp"
 #include "net/topology.hpp"
+#include "sweep/worlds.hpp"
 #include "telemetry/metrics.hpp"
-#include "util/retry.hpp"
 
 #include <optional>
 #include <set>
@@ -227,55 +226,6 @@ RepairOutcome run_shard_repair() {
   return out;
 }
 
-// ------------------------------------- C: fetch retries through a flapping link
-
-struct RetryOutcome {
-  int ok = 0;
-  std::uint64_t retries = 0;
-};
-
-RetryOutcome run_flap_fetches(bool with_retry) {
-  sim::Simulator sim;
-  net::Network net{sim, util::Rng(71)};
-  auto path = net::make_two_host_path(net, net::PathParams{},
-                                      net::PathParams{});
-  transport::TransportMux mux_server(*path.b);
-  http::HttpServer server(mux_server, 80);
-  server.route(http::Method::kGet, "/",
-               [](const http::Request&, http::ResponseWriter& w) {
-                 http::Response resp;
-                 resp.body = http::Body(std::string(1024, 'x'));
-                 w.respond(std::move(resp));
-               });
-  transport::TransportMux mux_client(*path.a);
-  http::HttpClient client(mux_client, util::Rng(17));
-
-  // Down [5,10] and [15,20]; ten fetches launched every 2s from t=0.
-  fault::ChaosController chaos(sim, util::Rng(19));
-  chaos.flap_link(path.link_b, 5 * kSecond, 2, 5 * kSecond, 5 * kSecond);
-
-  http::FetchOptions options;
-  options.timeout = 2 * kSecond;
-  if (with_retry) {
-    options.retry = util::RetryPolicy{6, kSecond, 2.0, 0.5, 8 * kSecond, 0};
-  }
-  RetryOutcome out;
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule(2 * i * kSecond, [&, options] {
-      http::Request req;
-      req.path = "/";
-      client.fetch({path.b->address(), 80}, req,
-                   [&](util::Result<http::Response> r) {
-                     if (r.ok() && r.value().ok()) ++out.ok;
-                   },
-                   options);
-    });
-  }
-  sim.run_until(120 * kSecond);
-  out.retries = client.stats().retries;
-  return out;
-}
-
 }  // namespace
 
 int main() {
@@ -286,8 +236,11 @@ int main() {
   const auto run_start = telemetry::registry().snapshot();
   const HealthOutcome health = run_health_crash();
   const RepairOutcome repair = run_shard_repair();
-  const RetryOutcome plain = run_flap_fetches(false);
-  const RetryOutcome retried = run_flap_fetches(true);
+  // Scenario C is the sweeper's chaos world, at this bench's fixed seeds.
+  const sweep::FlapResult plain = sweep::run_flap_fetches(
+      {.net_seed = 71, .client_seed = 17, .chaos_seed = 19, .retry = false});
+  const sweep::FlapResult retried = sweep::run_flap_fetches(
+      {.net_seed = 71, .client_seed = 17, .chaos_seed = 19, .retry = true});
   const auto faults = telemetry::MetricsRegistry::delta(
       run_start, telemetry::registry().snapshot());
 

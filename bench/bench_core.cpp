@@ -30,11 +30,8 @@
 
 #include "bench/alloc_hook.hpp"
 #include "bench/durability_workloads.hpp"
-#include "fault/fault.hpp"
-#include "hpop/dir_cluster.hpp"
 #include "metro/driver.hpp"
 #include "metro/topology.hpp"
-#include "metro/workload.hpp"
 #include "net/pool.hpp"
 #include "net/topology.hpp"
 #include "psim/day.hpp"
@@ -439,108 +436,36 @@ DurabilityResult run_durability(std::size_t records, std::size_t tail,
 }
 
 // --- Workload 9: sharded directory day (E19 gates) ----------------------
-// A compact version of bench_directory's day: a replicated DirectoryCluster
-// under a shard crash and a shard partition in disjoint windows. The E19
-// invariants gate here so they land in BENCH_CORE.json: post-warmup lookup
-// success, zero acked-registration loss, no stale adverts past lease
-// expiry, and anti-entropy actually repairing the crashed shard.
+// bench_directory's world (metro::run_service_day) at a compact size: a
+// replicated DirectoryCluster under a shard crash and a shard partition in
+// disjoint windows. The E19 invariants gate here so they land in
+// BENCH_CORE.json: post-warmup lookup success, zero acked-registration
+// loss, no stale adverts past lease expiry, and anti-entropy actually
+// repairing the crashed shard.
 
-struct DirectoryDayResult {
-  std::size_t homes = 0;
-  std::uint64_t lookups = 0;
-  double success = 0;
-  double p99_s = 0;
-  std::size_t acked = 0;
-  std::size_t resolved = 0;
-  std::uint64_t silent_probes = 0;
-  std::uint64_t stale_served = 0;
-  std::uint64_t sync_rounds = 0;
-  std::uint64_t sync_applied = 0;
-  std::uint64_t partitions = 0;
-  std::uint64_t partition_heals = 0;
-  std::uint64_t cut_drops = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t restarts = 0;
-  // Client-side failure breakdown (includes warmup traffic).
-  std::uint64_t client_not_found = 0;
-  std::uint64_t client_unreachable = 0;
-  std::uint64_t client_busy = 0;
-  std::uint64_t client_failovers = 0;
-  std::uint64_t client_timeouts = 0;
-};
-
-DirectoryDayResult run_directory_day(std::size_t homes) {
+metro::ServiceDayResult run_directory_day(std::size_t homes) {
   using util::kSecond;
-  constexpr util::Duration kDay = 24 * kSecond;
-  DirectoryDayResult r;
-  r.homes = homes;
-
-  sim::Simulator sim;
-  net::Network net{sim, util::Rng(42)};
-  metro::MetroParams params;
-  params.homes = homes;
-  util::Rng topo_rng(42 ^ 0x4d455452u);
-  metro::MetroTopology topo = metro::build_metro(net, params, topo_rng);
-
-  metro::ZipfCatalog catalog(128, 0.9);
-  util::Rng plan_rng(42 ^ 0x504c414eu);
-  metro::EventPlan plan = metro::EventPlan::generate(
-      topo, catalog, kDay, /*flash_crowds=*/1, /*outages=*/0, plan_rng);
-  metro::WorkloadModel model(metro::DiurnalCurve::residential(kDay), catalog,
-                             plan, /*base_rate_per_home=*/0.1);
-
-  metro::MetroDriverConfig dconfig;
-  dconfig.active_homes = homes;
-  dconfig.peers = 8;
-  dconfig.attic_pairs = 2;
-  dconfig.horizon = kDay;
-  dconfig.dir_shards = 4;
-  dconfig.dir_replication = 2;
-  dconfig.dir_lease = 6 * kSecond;
-  dconfig.dir_anti_entropy = 2 * kSecond;
-  dconfig.dir_registered_homes = std::min<std::size_t>(300, homes / 2);
-  dconfig.dir_silent_homes = 24;
-  dconfig.dir_silent_lease_s = 2;
-  dconfig.dir_warmup = 3 * kSecond;
-  metro::MetroDriver driver(topo, model, dconfig, util::Rng(42 ^ 0xd1ce5u));
-  driver.start();
-
-  core::DirectoryCluster* cluster = driver.directory();
-  fault::ChaosController chaos(sim, util::Rng(42 ^ 0xfa017u));
-  cluster->register_with_chaos(chaos);
+  metro::ServiceDayParams p;
+  p.seed = 42;
+  p.topology.homes = homes;
+  p.catalog_objects = 128;
+  p.base_rate_per_home = 0.1;
+  p.driver.horizon = 24 * kSecond;
+  p.driver.active_homes = homes;
+  p.driver.peers = 8;
+  p.driver.attic_pairs = 2;
+  p.driver.dir_shards = 4;
+  p.driver.dir_lease = 6 * kSecond;
+  p.driver.dir_registered_homes = std::min<std::size_t>(300, homes / 2);
+  p.driver.dir_silent_homes = 24;
+  p.driver.dir_silent_lease_s = 2;
+  p.driver.dir_warmup = 3 * kSecond;
   // Disjoint windows: crash [6, 10), partition [12, 16) — R=2 always
   // leaves one live replica.
-  chaos.crash_at(cluster->host(1).name(), 6 * kSecond, 4 * kSecond);
-  chaos.partition_at({&cluster->host(2)}, {}, 12 * kSecond, 4 * kSecond);
-
-  sim.run_until(kDay + 8 * kSecond);
-
-  r.lookups = driver.stats().dir_lookups;
-  r.success = driver.dir_success_rate();
-  r.p99_s = driver.dir_lookup_p99_s();
-  r.silent_probes = driver.stats().dir_silent_probes;
-  r.stale_served = driver.stats().dir_stale_served;
-  const auto sync = cluster->sync_totals();
-  r.sync_rounds = sync.rounds;
-  r.sync_applied = sync.entries_applied;
-  r.partitions = chaos.stats().partitions;
-  r.partition_heals = chaos.stats().partition_heals;
-  r.cut_drops = chaos.stats().partition_drops;
-  r.crashes = chaos.stats().crashes;
-  r.restarts = chaos.stats().restarts;
-  const auto client = driver.dir_client_totals();
-  r.client_not_found = client.not_found;
-  r.client_unreachable = client.unreachable;
-  r.client_busy = client.busy;
-  r.client_failovers = client.failovers;
-  r.client_timeouts = client.timeouts;
-  const auto& regs = driver.dir_registrations();
-  for (std::size_t i = 0; i < driver.dir_renewing(); ++i) {
-    if (!regs[i]->acked()) continue;
-    ++r.acked;
-    if (cluster->resolves(regs[i]->household())) ++r.resolved;
-  }
-  return r;
+  p.crash = metro::ShardWindow{1, 6 * kSecond, 4 * kSecond};
+  p.cut = metro::ShardWindow{2, 12 * kSecond, 4 * kSecond};
+  p.drain = 8 * kSecond;
+  return metro::run_service_day(p);
 }
 
 /// Polls the alloc hook's live-byte count from a side thread and keeps the
@@ -816,7 +741,7 @@ int main(int argc, char** argv) {
   const std::size_t dir_homes = smoke ? 300 : 1'000;
   std::fprintf(stderr, "[bench_core] directory day (%zu homes)...\n",
                dir_homes);
-  const DirectoryDayResult dir = run_directory_day(dir_homes);
+  const metro::ServiceDayResult dir = run_directory_day(dir_homes);
 
   const std::size_t pm_homes = smoke ? 2'000 : 10'000;
   std::fprintf(stderr, "[bench_core] parallel metro day (%zu homes)...\n",
@@ -900,14 +825,17 @@ int main(int argc, char** argv) {
        dur.incremental.ratio() < kIncrementalRatioMax &&
            dur.incremental.fingerprint_ok,
        "incremental_ratio_max", kIncrementalRatioMax, 2},
-      {"directory_lookup", dir.lookups > 0 && dir.success >= kDirSuccessMin,
+      {"directory_lookup",
+       dir.stats.dir_lookups > 0 && dir.dir_success >= kDirSuccessMin,
        "directory_success_min", kDirSuccessMin, 2},
       {"directory_no_loss", dir.acked > 0 && dir.resolved == dir.acked},
-      {"directory_no_stale", dir.silent_probes > 0 && dir.stale_served == 0},
-      {"directory_sync", dir.sync_rounds > 0 && dir.sync_applied > 0 &&
-                             dir.crashes == 1 && dir.restarts == 1 &&
-                             dir.partitions == 1 &&
-                             dir.partition_heals == 1},
+      {"directory_no_stale", dir.stats.dir_silent_probes > 0 &&
+                                 dir.stats.dir_stale_served == 0},
+      {"directory_sync", dir.sync.rounds > 0 && dir.sync.entries_applied > 0 &&
+                             dir.chaos.crashes == 1 &&
+                             dir.chaos.restarts == 1 &&
+                             dir.chaos.partitions == 1 &&
+                             dir.chaos.partition_heals == 1},
       {"parallel_metro_identical", pmetro.identical && pmetro.requests > 0 &&
                                        pmetro.rx_bytes > 0 &&
                                        pmetro.crossings > 0},
@@ -1045,27 +973,27 @@ int main(int argc, char** argv) {
                dur.incremental.ratio());
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"directory\": {\n");
-  std::fprintf(out, "    \"homes\": %zu,\n", dir.homes);
+  std::fprintf(out, "    \"homes\": %zu,\n", dir_homes);
   std::fprintf(out, "    \"lookups\": %llu,\n",
-               static_cast<unsigned long long>(dir.lookups));
-  std::fprintf(out, "    \"success_rate\": %.4f,\n", dir.success);
-  std::fprintf(out, "    \"lookup_p99_s\": %.4f,\n", dir.p99_s);
+               static_cast<unsigned long long>(dir.stats.dir_lookups));
+  std::fprintf(out, "    \"success_rate\": %.4f,\n", dir.dir_success);
+  std::fprintf(out, "    \"lookup_p99_s\": %.4f,\n", dir.dir_p99_s);
   std::fprintf(out, "    \"acked\": %zu,\n", dir.acked);
   std::fprintf(out, "    \"resolved\": %zu,\n", dir.resolved);
   std::fprintf(out, "    \"silent_probes\": %llu,\n",
-               static_cast<unsigned long long>(dir.silent_probes));
+               static_cast<unsigned long long>(dir.stats.dir_silent_probes));
   std::fprintf(out, "    \"stale_served\": %llu,\n",
-               static_cast<unsigned long long>(dir.stale_served));
+               static_cast<unsigned long long>(dir.stats.dir_stale_served));
   std::fprintf(out, "    \"sync_rounds\": %llu,\n",
-               static_cast<unsigned long long>(dir.sync_rounds));
+               static_cast<unsigned long long>(dir.sync.rounds));
   std::fprintf(out, "    \"sync_applied\": %llu,\n",
-               static_cast<unsigned long long>(dir.sync_applied));
+               static_cast<unsigned long long>(dir.sync.entries_applied));
   std::fprintf(out, "    \"partitions\": %llu,\n",
-               static_cast<unsigned long long>(dir.partitions));
+               static_cast<unsigned long long>(dir.chaos.partitions));
   std::fprintf(out, "    \"partition_heals\": %llu,\n",
-               static_cast<unsigned long long>(dir.partition_heals));
+               static_cast<unsigned long long>(dir.chaos.partition_heals));
   std::fprintf(out, "    \"cut_drops\": %llu\n",
-               static_cast<unsigned long long>(dir.cut_drops));
+               static_cast<unsigned long long>(dir.chaos.partition_drops));
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"parallel_metro\": {\n");
   std::fprintf(out, "    \"homes\": %zu,\n", pmetro.homes);
@@ -1190,20 +1118,20 @@ int main(int argc, char** argv) {
                "[bench_core] directory: %llu lookups %.2f%% ok (p99 %.2fs), "
                "acked %zu resolved %zu, stale %llu/%llu probes, "
                "sync %llu rounds %llu applied\n",
-               static_cast<unsigned long long>(dir.lookups),
-               dir.success * 100, dir.p99_s, dir.acked, dir.resolved,
-               static_cast<unsigned long long>(dir.stale_served),
-               static_cast<unsigned long long>(dir.silent_probes),
-               static_cast<unsigned long long>(dir.sync_rounds),
-               static_cast<unsigned long long>(dir.sync_applied));
+               static_cast<unsigned long long>(dir.stats.dir_lookups),
+               dir.dir_success * 100, dir.dir_p99_s, dir.acked, dir.resolved,
+               static_cast<unsigned long long>(dir.stats.dir_stale_served),
+               static_cast<unsigned long long>(dir.stats.dir_silent_probes),
+               static_cast<unsigned long long>(dir.sync.rounds),
+               static_cast<unsigned long long>(dir.sync.entries_applied));
   std::fprintf(stderr,
                "[bench_core] directory clients: %llu not_found %llu "
                "unreachable %llu busy, %llu failovers %llu timeouts\n",
-               static_cast<unsigned long long>(dir.client_not_found),
-               static_cast<unsigned long long>(dir.client_unreachable),
-               static_cast<unsigned long long>(dir.client_busy),
-               static_cast<unsigned long long>(dir.client_failovers),
-               static_cast<unsigned long long>(dir.client_timeouts));
+               static_cast<unsigned long long>(dir.dir_clients.not_found),
+               static_cast<unsigned long long>(dir.dir_clients.unreachable),
+               static_cast<unsigned long long>(dir.dir_clients.busy),
+               static_cast<unsigned long long>(dir.dir_clients.failovers),
+               static_cast<unsigned long long>(dir.dir_clients.timeouts));
   std::fprintf(stderr,
                "[bench_core] parallel metro: %zu homes, walls %.2f/%.2f/%.2f s "
                "(1/2/4 workers, %.2fx at 4), identical=%s\n",

@@ -39,122 +39,39 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault.hpp"
-#include "hpop/dir_cluster.hpp"
 #include "metro/driver.hpp"
-#include "metro/topology.hpp"
-#include "metro/workload.hpp"
-#include "sim/simulator.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 using namespace hpop;
 using util::kSecond;
 
-constexpr util::Duration kDayLength = 60 * kSecond;
-constexpr std::size_t kShards = 6;
-constexpr std::uint32_t kCrashShard = 1;
-constexpr std::uint32_t kCutShard = 2;
-constexpr util::TimePoint kCrashAt = 18 * kSecond;
-constexpr util::Duration kCrashDown = 8 * kSecond;   // back at 26 s
-constexpr util::TimePoint kCutAt = 32 * kSecond;
-constexpr util::Duration kCutFor = 12 * kSecond;     // heals at 44 s
+// Two disjoint windows: crash [18, 26) and partition [32, 44). Never both
+// at once: with R=2 that would leave some households with zero live
+// replicas, which is a capacity statement, not a robustness one.
+constexpr metro::ShardWindow kCrash{1, 18 * kSecond, 8 * kSecond};
+constexpr metro::ShardWindow kCut{2, 32 * kSecond, 12 * kSecond};
 
-struct DayResult {
-  std::string report;
-  double success = 0;
-  double p99_s = 0;
-  std::uint64_t lookups = 0;
-  std::uint64_t silent_probes = 0;
-  std::uint64_t stale_served = 0;
-  std::size_t acked = 0;
-  std::size_t resolved = 0;
-  std::size_t crash_replicated = 0;  // renewing households on the crashed
-  std::size_t crash_answers = 0;     // ... that it answers post-recovery
-  std::uint64_t sync_rounds = 0;
-  std::uint64_t sync_applied = 0;
-  fault::ChaosController::Stats chaos;
-};
-
-DayResult run_day(std::size_t homes, std::uint64_t seed) {
-  DayResult r;
-  sim::Simulator sim;
-  net::Network net{sim, util::Rng(seed)};
-  metro::MetroParams params;
-  params.homes = homes;
-  util::Rng topo_rng(seed ^ 0x4d455452u);
-  metro::MetroTopology topo = metro::build_metro(net, params, topo_rng);
-
-  metro::ZipfCatalog catalog(512, 0.9);
-  util::Rng plan_rng(seed ^ 0x504c414eu);
-  // One flash crowd for load texture; no uplink outages — the chaos under
-  // test is the directory's, and a dead access subtree would charge its
-  // unreachable lookups against the directory's success gate.
-  metro::EventPlan plan = metro::EventPlan::generate(
-      topo, catalog, kDayLength, /*flash_crowds=*/1, /*outages=*/0, plan_rng);
-  metro::WorkloadModel model(metro::DiurnalCurve::residential(kDayLength),
-                             catalog, plan, /*base_rate_per_home=*/0.05);
-
-  metro::MetroDriverConfig dconfig;
-  dconfig.active_homes = homes;
-  dconfig.peers = std::max<std::size_t>(8, homes / 128);
-  dconfig.attic_pairs = 4;
-  dconfig.attic_interval = 10 * kSecond;
-  dconfig.horizon = kDayLength;
-  dconfig.dir_shards = kShards;
-  dconfig.dir_replication = 2;
-  dconfig.dir_lease = 10 * kSecond;  // renew every 5 s
-  dconfig.dir_anti_entropy = 2 * kSecond;
-  dconfig.dir_registered_homes = std::min<std::size_t>(2000, homes / 2);
-  dconfig.dir_silent_homes = 64;
-  dconfig.dir_silent_lease_s = 3;  // expired long before the chaos windows
-  dconfig.dir_warmup = 5 * kSecond;
-  metro::MetroDriver driver(topo, model, dconfig, util::Rng(seed ^ 0xd1ce5u));
-  driver.start();
-
-  core::DirectoryCluster* cluster = driver.directory();
-  fault::ChaosController chaos(sim, util::Rng(seed ^ 0xfa017u));
-  cluster->register_with_chaos(chaos);
-  // Two disjoint windows: crash [18, 26) and partition [32, 44). Never
-  // both at once — with R=2 that would leave some households with zero
-  // live replicas, which is a capacity statement, not a robustness one.
-  chaos.crash_at(cluster->host(kCrashShard).name(), kCrashAt, kCrashDown);
-  chaos.partition_at({&cluster->host(kCutShard)}, {}, kCutAt, kCutFor);
-
-  sim.run_until(kDayLength + 10 * kSecond);
-
-  r.report = driver.report();
-  r.success = driver.dir_success_rate();
-  r.p99_s = driver.dir_lookup_p99_s();
-  r.lookups = driver.stats().dir_lookups;
-  r.silent_probes = driver.stats().dir_silent_probes;
-  r.stale_served = driver.stats().dir_stale_served;
-  const auto sync = cluster->sync_totals();
-  r.sync_rounds = sync.rounds;
-  r.sync_applied = sync.entries_applied;
-  r.chaos = chaos.stats();
-
-  // Zero acked-registration loss + crashed-shard catch-up, against the
-  // serving path itself (would_resolve == what a lookup would answer).
-  const auto& regs = driver.dir_registrations();
-  core::DirectoryShard* crashed = cluster->shard(kCrashShard);
-  std::vector<std::uint32_t> replicas;
-  for (std::size_t i = 0; i < driver.dir_renewing(); ++i) {
-    if (!regs[i]->acked()) continue;
-    ++r.acked;
-    if (cluster->resolves(regs[i]->household())) ++r.resolved;
-    cluster->ring().replicas(regs[i]->household(),
-                             cluster->config().replication, replicas);
-    for (const std::uint32_t s : replicas) {
-      if (s != kCrashShard) continue;
-      ++r.crash_replicated;
-      if (crashed != nullptr && crashed->would_resolve(regs[i]->household())) {
-        ++r.crash_answers;
-      }
-    }
-  }
-  return r;
+/// E19's day: the default 60-second service day with one flash crowd for
+/// load texture and no uplink outage. The chaos under test is the
+/// directory's, and a dead access subtree would charge its unreachable
+/// lookups against the directory's success gate.
+metro::ServiceDayResult run_day(std::size_t homes, std::uint64_t seed) {
+  metro::ServiceDayParams p;
+  p.seed = seed;
+  p.topology.homes = homes;
+  p.driver.active_homes = homes;
+  p.driver.peers = std::max<std::size_t>(8, homes / 128);
+  p.driver.attic_pairs = 4;
+  p.driver.attic_interval = 10 * kSecond;
+  p.driver.dir_shards = 6;
+  p.driver.dir_lease = 10 * kSecond;  // renew every 5 s
+  p.driver.dir_registered_homes = std::min<std::size_t>(2000, homes / 2);
+  p.driver.dir_silent_homes = 64;
+  p.driver.dir_silent_lease_s = 3;  // expired long before the chaos windows
+  p.crash = kCrash;
+  p.cut = kCut;
+  return metro::run_service_day(p);
 }
 
 using Clock = std::chrono::steady_clock;
@@ -185,7 +102,7 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "[bench_directory] day (%zu homes)...\n", homes);
   Clock::time_point t0 = Clock::now();
-  const DayResult day = run_day(homes, 42);
+  const metro::ServiceDayResult day = run_day(homes, 42);
   std::fprintf(stderr, "[bench_directory] day done in %.2fs\n",
                seconds_since(t0));
   std::printf("bench_directory day %s\n", day.report.c_str());
@@ -197,30 +114,32 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(day.chaos.partitions),
       static_cast<unsigned long long>(day.chaos.partition_heals),
       static_cast<unsigned long long>(day.chaos.partition_drops),
-      static_cast<unsigned long long>(day.sync_rounds),
-      static_cast<unsigned long long>(day.sync_applied));
+      static_cast<unsigned long long>(day.sync.rounds),
+      static_cast<unsigned long long>(day.sync.entries_applied));
   std::printf(
       "bench_directory invariants acked=%zu resolved=%zu "
       "crash_replicated=%zu crash_answers=%zu silent_probes=%llu stale=%llu\n",
       day.acked, day.resolved, day.crash_replicated, day.crash_answers,
-      static_cast<unsigned long long>(day.silent_probes),
-      static_cast<unsigned long long>(day.stale_served));
+      static_cast<unsigned long long>(day.stats.dir_silent_probes),
+      static_cast<unsigned long long>(day.stats.dir_stale_served));
 
   // Same-seed byte-identity, proven in-process on a small day.
   std::fprintf(stderr, "[bench_directory] identity days...\n");
   t0 = Clock::now();
-  const DayResult id_a = run_day(500, 7);
-  const DayResult id_b = run_day(500, 7);
+  const metro::ServiceDayResult id_a = run_day(500, 7);
+  const metro::ServiceDayResult id_b = run_day(500, 7);
   std::fprintf(stderr, "[bench_directory] identity done in %.2fs\n",
                seconds_since(t0));
 
-  const bool g_success = day.lookups > 0 && day.success >= kSuccessMin;
-  const bool g_p99 = day.p99_s > 0 && day.p99_s <= kP99MaxS;
+  const bool g_success =
+      day.stats.dir_lookups > 0 && day.dir_success >= kSuccessMin;
+  const bool g_p99 = day.dir_p99_s > 0 && day.dir_p99_s <= kP99MaxS;
   const bool g_no_loss = day.acked > 0 && day.resolved == day.acked;
-  const bool g_no_stale = day.silent_probes > 0 && day.stale_served == 0;
+  const bool g_no_stale =
+      day.stats.dir_silent_probes > 0 && day.stats.dir_stale_served == 0;
   const bool g_catchup = day.crash_replicated > 0 &&
                          day.crash_answers == day.crash_replicated &&
-                         day.sync_rounds > 0 && day.sync_applied > 0;
+                         day.sync.rounds > 0 && day.sync.entries_applied > 0;
   const bool g_chaos = day.chaos.crashes == 1 && day.chaos.restarts == 1 &&
                        day.chaos.partitions == 1 &&
                        day.chaos.partition_heals == 1 &&
@@ -231,8 +150,8 @@ int main(int argc, char** argv) {
   std::printf(
       "bench_directory gates success=%s (%.4f>=%.2f) p99=%s (%.3fs<=%.1fs) "
       "no_loss=%s no_stale=%s catchup=%s chaos=%s identical=%s -> %s\n",
-      g_success ? "ok" : "FAIL", day.success, kSuccessMin,
-      g_p99 ? "ok" : "FAIL", day.p99_s, kP99MaxS, g_no_loss ? "ok" : "FAIL",
+      g_success ? "ok" : "FAIL", day.dir_success, kSuccessMin,
+      g_p99 ? "ok" : "FAIL", day.dir_p99_s, kP99MaxS, g_no_loss ? "ok" : "FAIL",
       g_no_stale ? "ok" : "FAIL", g_catchup ? "ok" : "FAIL",
       g_chaos ? "ok" : "FAIL", g_identical ? "ok" : "FAIL",
       passed ? "PASSED" : "FAILED");

@@ -29,12 +29,10 @@
 #include <vector>
 
 #include "bench/alloc_hook.hpp"
-#include "fault/fault.hpp"
 #include "http/client.hpp"
 #include "http/server.hpp"
 #include "metro/driver.hpp"
 #include "metro/topology.hpp"
-#include "metro/workload.hpp"
 #include "sim/simulator.hpp"
 #include "transport/mux.hpp"
 #include "util/rng.hpp"
@@ -111,52 +109,19 @@ CapacityResult run_capacity(std::size_t homes) {
   return r;
 }
 
-struct DayResult {
-  std::size_t homes = 0;
-  std::string report;
-  double offload = 0;
-  std::uint64_t loads_ok = 0;
-  std::uint64_t attic_gets = 0;
-};
-
-DayResult run_diurnal_day(std::size_t homes, std::uint64_t seed) {
-  constexpr util::Duration kDayLength = 60 * kSecond;  // compressed day
-  DayResult r;
-  r.homes = homes;
-
-  sim::Simulator sim;
-  net::Network net(sim, util::Rng(seed));
-  metro::MetroParams params;
-  params.homes = homes;
-  util::Rng topo_rng(seed ^ 0x4d455452u);
-  metro::MetroTopology topo = metro::build_metro(net, params, topo_rng);
-
-  metro::ZipfCatalog catalog(512, 0.9);
-  util::Rng plan_rng(seed ^ 0x504c414eu);
-  metro::EventPlan plan = metro::EventPlan::generate(
-      topo, catalog, kDayLength, /*flash_crowds=*/1, /*outages=*/1, plan_rng);
-  metro::WorkloadModel model(metro::DiurnalCurve::residential(kDayLength),
-                             catalog, plan, /*base_rate_per_home=*/0.05);
-
-  metro::MetroDriverConfig dconfig;
-  dconfig.active_homes = homes;  // clamped to leave room for peers + attic
-  dconfig.peers = std::max<std::size_t>(8, homes / 128);
-  dconfig.attic_pairs = 4;
-  dconfig.attic_interval = 10 * kSecond;
-  dconfig.horizon = kDayLength;
-  metro::MetroDriver driver(topo, model, dconfig, util::Rng(seed ^ 0xd1ce5u));
-  driver.start();
-
-  fault::ChaosController chaos(sim, util::Rng(seed ^ 0xfa017u));
-  chaos.execute(plan.to_fault_plan(topo));
-
-  sim.run_until(kDayLength + 15 * kSecond);
-
-  r.report = driver.report();
-  r.offload = driver.offload();
-  r.loads_ok = driver.stats().loads_ok;
-  r.attic_gets = driver.stats().attic_gets;
-  return r;
+/// E17's day at one population: the default 60-second service day with one
+/// flash crowd and one regional outage.
+metro::ServiceDayResult run_diurnal_day(std::size_t homes) {
+  metro::ServiceDayParams p;
+  p.seed = 42;
+  p.topology.homes = homes;
+  p.driver.active_homes = homes;  // clamped to leave room for peers + attic
+  p.driver.peers = std::max<std::size_t>(8, homes / 128);
+  p.driver.attic_pairs = 4;
+  p.driver.attic_interval = 10 * kSecond;
+  p.outages = 1;
+  p.drain = 15 * kSecond;
+  return metro::run_service_day(p);
 }
 
 using Clock = std::chrono::steady_clock;
@@ -204,11 +169,11 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> populations =
       smoke ? std::vector<std::size_t>{200, 500}
             : std::vector<std::size_t>{1'000, 4'000, 10'000};
-  std::vector<DayResult> days;
+  std::vector<metro::ServiceDayResult> days;
   for (const std::size_t n : populations) {
     std::fprintf(stderr, "[bench_metro] diurnal day (%zu homes)...\n", n);
     t0 = Clock::now();
-    days.push_back(run_diurnal_day(n, 42));
+    days.push_back(run_diurnal_day(n));
     std::fprintf(stderr, "[bench_metro] day done in %.2fs\n",
                  seconds_since(t0));
     std::printf("bench_metro diurnal %s\n", days.back().report.c_str());
@@ -218,9 +183,9 @@ int main(int argc, char** argv) {
       cap.bytes_per_home > 0 && cap.bytes_per_home <= kBytesPerHomeMax;
   const bool gate_routing = cap.cross_pop_ok && cap.origin_ok;
   bool gate_days = true;
-  for (const DayResult& d : days) {
-    gate_days = gate_days && d.loads_ok > 0 && d.offload >= kOffloadMin &&
-                d.attic_gets > 0;
+  for (const metro::ServiceDayResult& d : days) {
+    gate_days = gate_days && d.stats.loads_ok > 0 &&
+                d.offload >= kOffloadMin && d.stats.attic_gets > 0;
   }
   const bool passed = gate_bytes && gate_routing && gate_days;
   std::printf(

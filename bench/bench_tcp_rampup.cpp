@@ -10,6 +10,7 @@
 
 #include "bench/common.hpp"
 #include "net/topology.hpp"
+#include "sweep/worlds.hpp"
 #include "transport/mux.hpp"
 
 using namespace hpop;
@@ -17,49 +18,14 @@ using namespace hpop::bench;
 
 namespace {
 
-struct RampResult {
-  int rtts_to_saturation = -1;
-  double mbytes_at_saturation = 0;
-  double seconds_to_saturation = 0;
-};
+/// Seconds until the first window at 90% of the link rate (0 if none).
+double seconds_to_saturation(const sweep::RampResult& r, util::Duration rtt) {
+  if (r.rtts_to_saturation < 0) return 0.0;
+  return util::to_seconds(r.rtts_to_saturation * rtt);
+}
 
-RampResult measure_ramp(util::BitRate rate, util::Duration rtt) {
-  sim::Simulator sim;
-  net::Network net(sim, util::Rng(17));
-  const net::PathParams params{rate, rtt / 4, 0.0,
-                               static_cast<std::size_t>(64) << 20};
-  auto path = net::make_two_host_path(net, params, params);
-  transport::TransportMux mux_a(*path.a), mux_b(*path.b);
-  auto listener = mux_b.tcp_listen(80);
-  std::uint64_t received = 0;
-  listener->set_on_accept([&](std::shared_ptr<transport::TcpConnection> c) {
-    c->set_on_bytes([&](std::size_t n) { received += n; });
-  });
-  auto client = mux_a.tcp_connect({path.b->address(), 80});
-  util::TimePoint established = 0;
-  client->set_on_established([&] {
-    established = sim.now();
-    client->send_bytes(1u << 30);
-  });
-  while (established == 0 && !sim.empty()) sim.run(1);
-
-  RampResult result;
-  std::uint64_t prev = 0;
-  for (int w = 1; w <= 40; ++w) {
-    sim.run_until(established + w * rtt);
-    const std::uint64_t in_window = received - prev;
-    prev = received;
-    const double window_rate =
-        static_cast<double>(in_window) * 8 / util::to_seconds(rtt);
-    if (window_rate >= 0.9 * rate) {
-      result.rtts_to_saturation = w;
-      result.mbytes_at_saturation =
-          static_cast<double>(received) / (1 << 20);
-      result.seconds_to_saturation = util::to_seconds(w * rtt);
-      break;
-    }
-  }
-  return result;
+double megabytes(std::uint64_t bytes) {
+  return static_cast<double>(bytes) / (1 << 20);
 }
 
 double flow_average_rate(util::BitRate rate, util::Duration rtt,
@@ -97,28 +63,30 @@ int main() {
   header("E2", "TCP slow-start ramp-up on ultrabroadband paths",
          "1 Gbps / 50 ms RTT: ~10 RTTs and >14 MB before reaching capacity");
 
-  const RampResult headline =
-      measure_ramp(1 * util::kGbps, 50 * util::kMillisecond);
+  // The sweeper's rampup world, at this bench's fixed seed.
+  const sweep::RampResult headline = sweep::measure_ramp(
+      {.seed = 17, .rate = 1 * util::kGbps, .rtt = 50 * util::kMillisecond});
   verdict("RTTs to 90% of 1 Gbps", "~10",
           std::to_string(headline.rtts_to_saturation),
           headline.rtts_to_saturation >= 8 &&
               headline.rtts_to_saturation <= 12);
   verdict("cumulative MB at saturation", ">14 (sent); ~7-15 delivered",
-          fmt(headline.mbytes_at_saturation, 1) + " MB",
-          headline.mbytes_at_saturation > 6);
+          fmt(megabytes(headline.bytes_at_saturation), 1) + " MB",
+          megabytes(headline.bytes_at_saturation) > 6);
 
   std::printf("\nrate x RTT sweep (RTTs / MB / seconds to 90%% capacity):\n");
   util::Table table({"rate", "RTT (ms)", "RTTs", "MB delivered", "seconds"});
   for (const double gbps : {0.1, 1.0, 10.0}) {
     for (const double rtt_ms : {10.0, 25.0, 50.0, 100.0}) {
-      const RampResult r = measure_ramp(gbps * util::kGbps,
-                                        util::milliseconds(rtt_ms));
+      const util::Duration rtt = util::milliseconds(rtt_ms);
+      const sweep::RampResult r = sweep::measure_ramp(
+          {.seed = 17, .rate = gbps * util::kGbps, .rtt = rtt});
       table.add_row({fmt(gbps, 1) + " Gbps", fmt(rtt_ms, 0),
                      r.rtts_to_saturation < 0
                          ? "never"
                          : std::to_string(r.rtts_to_saturation),
-                     fmt(r.mbytes_at_saturation, 1),
-                     fmt(r.seconds_to_saturation, 2)});
+                     fmt(megabytes(r.bytes_at_saturation), 1),
+                     fmt(seconds_to_saturation(r, rtt), 2)});
     }
   }
   std::printf("%s", table.render().c_str());

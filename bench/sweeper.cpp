@@ -9,8 +9,8 @@
 //
 // must always be empty. Timing goes to stderr, outside the comparison.
 //
-// Usage: sweeper [--scenario chaos|flash|rampup|metro|durable|directory|psim|psim_tcp] [--seeds A-B | a,b,c]
-//                [--jobs N]
+// Usage: sweeper [--scenario NAME] [--seeds A-B | a,b,c] [--jobs N]
+// (the usage text lists every scenario name).
 
 #include <chrono>
 #include <cstdio>
@@ -42,6 +42,16 @@ std::vector<std::uint64_t> parse_seeds(const char* spec) {
   return seeds;
 }
 
+/// "chaos|flash|...": every scenario name, in declaration order.
+std::string scenario_names() {
+  std::string names;
+  for (const hpop::sweep::Scenario s : hpop::sweep::kScenarios) {
+    if (!names.empty()) names += '|';
+    names += hpop::sweep::to_string(s);
+  }
+  return names;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,8 +63,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
       const auto parsed = hpop::sweep::scenario_from_string(argv[++i]);
       if (!parsed) {
-        std::fprintf(stderr, "unknown scenario '%s' (chaos|flash|rampup|metro|durable|directory|psim|psim_tcp)\n",
-                     argv[i]);
+        std::fprintf(stderr, "unknown scenario '%s' (%s)\n", argv[i],
+                     scenario_names().c_str());
         return 2;
       }
       scenario = *parsed;
@@ -64,8 +74,9 @@ int main(int argc, char** argv) {
       jobs = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else {
       std::fprintf(stderr,
-                   "usage: sweeper [--scenario chaos|flash|rampup|metro|durable|directory|psim|psim_tcp] "
-                   "[--seeds A-B|a,b,c] [--jobs N]\n");
+                   "usage: sweeper [--scenario %s] [--seeds A-B|a,b,c] "
+                   "[--jobs N]\n",
+                   scenario_names().c_str());
       return 2;
     }
   }

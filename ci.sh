@@ -20,12 +20,21 @@ same_stdout() {
   done
 }
 
+# lane DIR TIMEOUT CMAKE_ARG...: configures and builds one tree and runs the
+# tier-1 suite in it. --timeout: no single test may wedge the suite
+# (overload/chaos scenarios drive long simulated horizons but must stay
+# fast in wall-clock terms; the sanitized lanes get longer).
+lane() {
+  dir=$1
+  timeout=$2
+  shift 2
+  cmake -B "$dir" -S . "$@"
+  cmake --build "$dir" -j
+  ctest --test-dir "$dir" --output-on-failure --timeout "$timeout"
+}
+
 # -Werror: the plain build is warning-free, and a new warning fails CI.
-cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
-cmake --build build -j
-# --timeout: no single test may wedge the suite (overload/chaos scenarios
-# drive long simulated horizons but must stay fast in wall-clock terms).
-ctest --test-dir build --output-on-failure --timeout 120
+lane build 120 -DCMAKE_CXX_FLAGS=-Werror
 
 # Fixed-seed determinism gate: the chaos suite's same-seed scenario must be
 # byte-identical in-process, and a full seeded chaos run must print the same
@@ -59,6 +68,8 @@ same_stdout sweep_chaos "$sweep --scenario chaos --seeds 1-8 --jobs 1" \
   "$sweep --scenario chaos --seeds 1-8 --jobs 4"
 same_stdout sweep_flash "$sweep --scenario flash --seeds 1-4 --jobs 1" \
   "$sweep --scenario flash --seeds 1-4 --jobs 4"
+same_stdout sweep_rampup "$sweep --scenario rampup --seeds 1-8 --jobs 1" \
+  "$sweep --scenario rampup --seeds 1-8 --jobs 4"
 same_stdout sweep_metro "$sweep --scenario metro --seeds 1-4 --jobs 1" \
   "$sweep --scenario metro --seeds 1-4 --jobs 4"
 
@@ -149,42 +160,31 @@ done
 # its peak live bytes per home at 4 workers. The committed
 # BENCH_CORE.json baseline must also have been produced by a passing run.
 ./build/bench/bench_core --smoke --out /tmp/BENCH_CORE.json
+# Every gate must read true. The hardware-armed speedup gates read true
+# where the box has >= 8 hardware threads and the explicit string
+# "skipped" where it does not; a bare false, or a baseline produced with
+# the gate disarmed and then hand-edited, fails the grep either way.
+gates="gates_passed scheduler_allocs_ok scheduler_events_per_sec_ok
+  delivery_ok packet_hop_allocs_ok tcp_bulk_allocs_ok sweep_identical_ok
+  metro_build_ok bytes_per_home_ok durability_recovery_ok
+  durability_compaction_ok durability_incremental_ok directory_lookup_ok
+  directory_no_loss_ok directory_no_stale_ok directory_sync_ok
+  burst_speedup_ok idle_hop_events_per_hop_ok parallel_metro_identical_ok
+  parallel_tcp_metro_identical_ok parallel_tcp_metro_bytes_per_home_ok"
+hw_gates="sweep_speedup_ok parallel_metro_speedup_ok
+  parallel_tcp_metro_speedup_ok"
 for gate_file in /tmp/BENCH_CORE.json BENCH_CORE.json; do
-  grep -q '"gates_passed": true' "$gate_file"
-  grep -q '"scheduler_allocs_ok": true' "$gate_file"
-  grep -q '"scheduler_events_per_sec_ok": true' "$gate_file"
-  grep -q '"delivery_ok": true' "$gate_file"
-  grep -q '"packet_hop_allocs_ok": true' "$gate_file"
-  grep -q '"tcp_bulk_allocs_ok": true' "$gate_file"
-  grep -q '"sweep_identical_ok": true' "$gate_file"
-  grep -q '"metro_build_ok": true' "$gate_file"
-  grep -q '"bytes_per_home_ok": true' "$gate_file"
-  grep -q '"durability_recovery_ok": true' "$gate_file"
-  grep -q '"durability_compaction_ok": true' "$gate_file"
-  grep -q '"durability_incremental_ok": true' "$gate_file"
-  grep -q '"directory_lookup_ok": true' "$gate_file"
-  grep -q '"directory_no_loss_ok": true' "$gate_file"
-  grep -q '"directory_no_stale_ok": true' "$gate_file"
-  grep -q '"directory_sync_ok": true' "$gate_file"
-  grep -q '"burst_speedup_ok": true' "$gate_file"
-  grep -q '"idle_hop_events_per_hop_ok": true' "$gate_file"
-  grep -q '"parallel_metro_identical_ok": true' "$gate_file"
-  grep -q '"parallel_tcp_metro_identical_ok": true' "$gate_file"
-  grep -q '"parallel_tcp_metro_bytes_per_home_ok": true' "$gate_file"
-  # Hardware-armed speedup gates: true where the box has >= 8 hardware
-  # threads, the explicit string "skipped" where it does not. A bare false
-  # — or a baseline silently produced with the gate disarmed and then
-  # hand-edited — fails the grep either way.
-  grep -Eq '"sweep_speedup_ok": (true|"skipped")' "$gate_file"
-  grep -Eq '"parallel_metro_speedup_ok": (true|"skipped")' "$gate_file"
-  grep -Eq '"parallel_tcp_metro_speedup_ok": (true|"skipped")' "$gate_file"
+  for gate in $gates; do
+    grep -q "\"$gate\": true" "$gate_file"
+  done
+  for gate in $hw_gates; do
+    grep -Eq "\"$gate\": (true|\"skipped\")" "$gate_file"
+  done
 done
 
-cmake -B build-asan -S . -DHPOP_SANITIZE=ON
-cmake --build build-asan -j
 # LeakSanitizer stays on: every test and bench run below must free what it
 # allocates, transport connections and MPTCP sessions included.
-ctest --test-dir build-asan --output-on-failure --timeout 240
+lane build-asan 240 -DHPOP_SANITIZE=ON
 # Metro under ASan: a 1000-home build plus the smoke diurnal day, checking
 # for memory errors at scale. --no-gate because redzones inflate the
 # bytes-per-home numbers the plain lane gates on.
@@ -214,9 +214,7 @@ done
 # simulator itself is single-threaded; this lane guards the thread_local
 # telemetry and log-clock state, the Symbol intern table, and the sweep
 # runner's seed counter against races as the parallel surface grows.
-cmake -B build-tsan -S . -DHPOP_SANITIZE=thread
-cmake --build build-tsan -j
-ctest --test-dir build-tsan --output-on-failure --timeout 480
+lane build-tsan 480 -DHPOP_SANITIZE=thread
 # Directory sweep under TSan: four seeds across four worker threads — the
 # sweeper's one-Simulator-per-seed isolation must hold for the new
 # scenario too.

@@ -28,7 +28,7 @@ for b in build/bench/*; do
   esac
 done
 
-# E16: seed sweeps across all three scenarios.
-for scenario in chaos flash rampup; do
+# E16: seed sweeps across all eight scenarios.
+for scenario in chaos flash rampup metro durable directory psim psim_tcp; do
   ./build/bench/sweeper --scenario "$scenario" --seeds 1-8 --jobs "$JOBS"
 done

@@ -159,6 +159,12 @@ void DirectoryServer::handle_message(
       conn->send(ready);
       return;
     }
+    // A requester gives up at its attempt timeout and aborts its control
+    // connection, so a waiter whose requester is gone will never be
+    // answered: drop those before filing the next.
+    std::erase_if(rendezvous_waiters_, [](const auto& entry) {
+      return entry.second.requester.expired();
+    });
     const std::uint64_t relay = next_relay_id_++;
     rendezvous_waiters_[relay] = {conn, rdv->txn};
     auto forward = std::make_shared<DirRendezvousRequest>(*rdv);

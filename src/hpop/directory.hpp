@@ -114,6 +114,9 @@ class DirectoryServer {
   void enable_admission(overload::AdmissionConfig config);
   std::uint64_t sheds() const { return sheds_; }
 
+  /// Rendezvous relayed to an HPoP and not yet answered.
+  std::size_t rendezvous_pending() const { return rendezvous_waiters_.size(); }
+
   struct Stats {
     std::uint64_t registrations = 0;  // fresh + renewals, network path
     std::uint64_t lookups = 0;

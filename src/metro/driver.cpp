@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/check.hpp"
+
 namespace hpop::metro {
 
 namespace {
@@ -379,6 +381,81 @@ std::string MetroDriver::report() const {
     out += dir;
   }
   return out;
+}
+
+ServiceDayResult run_service_day(const ServiceDayParams& p) {
+  const util::Duration day = p.driver.horizon;
+  sim::Simulator sim;
+  net::Network net{sim, util::Rng(p.seed)};
+  util::Rng topo_rng(p.seed ^ 0x4d455452u);  // "METR"
+  MetroTopology topo = build_metro(net, p.topology, topo_rng);
+
+  ZipfCatalog catalog(p.catalog_objects, 0.9);
+  util::Rng plan_rng(p.seed ^ 0x504c414eu);  // "PLAN"
+  EventPlan plan = EventPlan::generate(topo, catalog, day, /*flash_crowds=*/1,
+                                       p.outages, plan_rng, p.partitions);
+  WorkloadModel model(DiurnalCurve::residential(day), catalog, plan,
+                      p.base_rate_per_home);
+  MetroDriver driver(topo, model, p.driver, util::Rng(p.seed ^ 0xd1ce5u));
+  driver.start();
+
+  fault::ChaosController chaos(sim, util::Rng(p.seed ^ 0xfa017u));
+  core::DirectoryCluster* cluster = driver.directory();
+  // The driver clamps dir_shards to what the population leaves room for.
+  const std::size_t shards = cluster != nullptr ? cluster->shards() : 0;
+  HPOP_CHECK((!p.crash || p.crash->shard < shards) &&
+                 (!p.cut || p.cut->shard < shards),
+             "a shard window names a shard past the %zu the driver built",
+             shards);
+  if (cluster != nullptr) cluster->register_with_chaos(chaos);
+  chaos.execute(plan.to_fault_plan(topo));
+  if (p.crash) {
+    chaos.crash_at(cluster->host(p.crash->shard).name(), p.crash->at,
+                   p.crash->length);
+  }
+  if (p.cut) {
+    chaos.partition_at({&cluster->host(p.cut->shard)}, {}, p.cut->at,
+                       p.cut->length);
+  }
+
+  sim.run_until(day + p.drain);
+
+  ServiceDayResult r;
+  r.report = driver.report();
+  r.stats = driver.stats();
+  r.offload = driver.offload();
+  r.plan = std::move(plan);
+  r.topology_fp = topo.fingerprint();
+  r.chaos = chaos.stats();
+  if (cluster == nullptr) return r;
+  r.dir_success = driver.dir_success_rate();
+  r.dir_p99_s = driver.dir_lookup_p99_s();
+  r.dir_clients = driver.dir_client_totals();
+  r.sync = cluster->sync_totals();
+  r.cluster_fp = cluster->fingerprint();
+  // Checked against the serving path itself: would_resolve is what a
+  // lookup would answer now.
+  const core::DirectoryShard* crashed =
+      p.crash ? cluster->shard(p.crash->shard) : nullptr;
+  std::vector<std::uint32_t> replicas;
+  const auto& regs = driver.dir_registrations();
+  for (std::size_t i = 0; i < driver.dir_renewing(); ++i) {
+    if (!regs[i]->acked()) continue;
+    const std::string& household = regs[i]->household();
+    ++r.acked;
+    if (cluster->resolves(household)) ++r.resolved;
+    if (!p.crash) continue;
+    cluster->ring().replicas(household, cluster->config().replication,
+                             replicas);
+    for (const std::uint32_t s : replicas) {
+      if (s != p.crash->shard) continue;
+      ++r.crash_replicated;
+      if (crashed != nullptr && crashed->would_resolve(household)) {
+        ++r.crash_answers;
+      }
+    }
+  }
+  return r;
 }
 
 }  // namespace hpop::metro

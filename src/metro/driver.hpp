@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "hpop/dir_cluster.hpp"
 #include "http/client.hpp"
 #include "http/server.hpp"
@@ -45,7 +47,7 @@ struct MetroDriverConfig {
   std::size_t dir_shards = 0;
   std::size_t dir_replication = 2;
   util::Duration dir_lease = 15 * util::kSecond;
-  util::Duration dir_anti_entropy = 5 * util::kSecond;
+  util::Duration dir_anti_entropy = 2 * util::kSecond;
   std::size_t dir_registered_homes = 256;  // clamped to active_homes
   std::size_t dir_silent_homes = 0;
   std::uint32_t dir_silent_lease_s = 2;
@@ -180,5 +182,66 @@ class MetroDriver {
 
   Stats stats_;
 };
+
+/// A directory shard taken out of service for a window of the day.
+struct ShardWindow {
+  std::uint32_t shard = 0;
+  util::TimePoint at = 0;
+  util::Duration length = 0;
+};
+
+/// One diurnal NoCDN service day on a freshly built metro, the world behind
+/// E17 (bench_metro), E19 (bench_directory), bench_core's directory day and
+/// the sweeper's `metro` and `directory` scenarios. Each field is one those
+/// callers set differently. What they all share is fixed inside: Zipf skew
+/// 0.9, one flash crowd, and the RNG streams derived from `seed`. The
+/// defaults are E17's and E19's: a 60 s day (the driver's default horizon),
+/// 512 objects and 0.05 page loads per home per second at the base rate.
+struct ServiceDayParams {
+  std::uint64_t seed = 42;
+  MetroParams topology;
+  /// Roles and directory. `driver.horizon` is the length of the day: the
+  /// diurnal period and the event plan's horizon as well.
+  MetroDriverConfig driver;
+  std::size_t catalog_objects = 512;
+  double base_rate_per_home = 0.05;
+  /// Uplink outages and access-subtree partitions in the event plan.
+  std::size_t outages = 0;
+  std::size_t partitions = 0;
+  /// A directory shard crashed (it restarts from its WAL), and one cut off
+  /// from the whole metro. Each must name a shard the driver built (after
+  /// its clamp to the population); the day stops on an HPOP_CHECK if not.
+  std::optional<ShardWindow> crash;
+  std::optional<ShardWindow> cut;
+  /// How long the simulator runs past the horizon so loads in flight end.
+  util::Duration drain = 10 * util::kSecond;
+};
+
+struct ServiceDayResult {
+  std::string report;  // MetroDriver::report()
+  MetroDriver::Stats stats;
+  double offload = 0;
+  EventPlan plan;
+  std::uint64_t topology_fp = 0;
+  fault::ChaosController::Stats chaos;
+  // The directory's figures; zero while it is off.
+  double dir_success = 0;
+  double dir_p99_s = 0;
+  core::DirectoryClient::Stats dir_clients;
+  core::DirectoryShard::SyncStats sync;
+  std::uint64_t cluster_fp = 0;
+  /// Acked renewing registrations, and those that still resolve at the end.
+  std::size_t acked = 0;
+  std::size_t resolved = 0;
+  /// Of those, the ones the crashed shard replicates, and the ones it
+  /// answers for after its recovery.
+  std::size_t crash_replicated = 0;
+  std::size_t crash_answers = 0;
+};
+
+/// Builds the metro, its event plan, workload and driver, wires chaos in
+/// (the directory's nodes, then the plan's outages and partitions, then the
+/// crash, then the cut), and runs the day to `driver.horizon + drain`.
+ServiceDayResult run_service_day(const ServiceDayParams& p);
 
 }  // namespace hpop::metro

@@ -9,26 +9,14 @@
 #include "attic/store.hpp"
 #include "durable/device.hpp"
 #include "durable/wal.hpp"
-#include "fault/fault.hpp"
-#include "http/client.hpp"
-#include "http/server.hpp"
 #include "metro/driver.hpp"
-#include "metro/topology.hpp"
-#include "metro/workload.hpp"
-#include "net/topology.hpp"
-#include "nocdn/origin.hpp"
-#include "nocdn/peer.hpp"
-#include "overload/admission.hpp"
-#include "overload/breaker.hpp"
 #include "psim/day.hpp"
 #include "psim/tcp_day.hpp"
-#include "transport/mux.hpp"
+#include "sweep/worlds.hpp"
 #include "util/hash.hpp"
-#include "util/retry.hpp"
 
 namespace hpop::sweep {
 
-using util::kGbps;
 using util::kMbps;
 using util::kMillisecond;
 using util::kSecond;
@@ -38,184 +26,42 @@ namespace {
 // ------------------------------------------- chaos: fetches vs a flapping link
 
 std::string run_chaos(std::uint64_t seed) {
-  sim::Simulator sim;
-  net::Network net{sim, util::Rng(seed)};
-  auto path =
-      net::make_two_host_path(net, net::PathParams{}, net::PathParams{});
-  transport::TransportMux mux_server(*path.b);
-  http::HttpServer server(mux_server, 80);
-  server.route(http::Method::kGet, "/",
-               [](const http::Request&, http::ResponseWriter& w) {
-                 http::Response resp;
-                 resp.body = http::Body(std::string(1024, 'x'));
-                 w.respond(std::move(resp));
-               });
-  transport::TransportMux mux_client(*path.a);
-  http::HttpClient client(mux_client, util::Rng(seed ^ 0x9e3779b9u));
-
-  fault::ChaosController chaos(sim, util::Rng(seed ^ 0x51ed2701u));
-  chaos.flap_link(path.link_b, 5 * kSecond, 2, 5 * kSecond, 5 * kSecond);
-
-  http::FetchOptions options;
-  options.timeout = 2 * kSecond;
-  options.retry = util::RetryPolicy{6, kSecond, 2.0, 0.5, 8 * kSecond, 0};
-
-  int ok = 0;
-  std::uint64_t bytes = 0;
-  util::TimePoint last_ok = 0;
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule(2 * i * kSecond, [&, options] {
-      http::Request req;
-      req.path = "/";
-      client.fetch({path.b->address(), 80}, req,
-                   [&](util::Result<http::Response> r) {
-                     if (r.ok() && r.value().ok()) {
-                       ++ok;
-                       bytes += r.value().body.size();
-                       last_ok = sim.now();
-                     }
-                   },
-                   options);
-    });
-  }
-  sim.run_until(120 * kSecond);
-
+  const FlapResult r = run_flap_fetches(
+      {.net_seed = seed,
+       .client_seed = seed ^ 0x9e3779b9u,
+       .chaos_seed = seed ^ 0x51ed2701u});
   char line[160];
   std::snprintf(line, sizeof line,
                 "chaos seed=%llu ok=%d/10 retries=%llu bytes=%llu "
                 "last_ok_s=%.6f",
-                static_cast<unsigned long long>(seed), ok,
-                static_cast<unsigned long long>(client.stats().retries),
-                static_cast<unsigned long long>(bytes),
-                static_cast<double>(last_ok) / kSecond);
+                static_cast<unsigned long long>(seed), r.ok,
+                static_cast<unsigned long long>(r.retries),
+                static_cast<unsigned long long>(r.bytes),
+                static_cast<double>(r.last_ok) / kSecond);
   return line;
 }
 
 // --------------------------- flash crowd: open loop vs one admission'd peer
 
 std::string run_flash_crowd(std::uint64_t seed) {
-  constexpr int kClients = 8;
-  constexpr util::Duration kIssueEvery = 250 * kMillisecond;
-  constexpr util::Duration kWarmup = 3 * kSecond;
-  constexpr util::Duration kHorizon = 12 * kSecond;
-  constexpr std::size_t kObjectKb = 100;
-
-  sim::Simulator sim;
-  net::Network net{sim, util::Rng(seed)};
-  net::Router& core = net.add_router("core");
-
-  net::Host& origin_host = net.add_host("origin", net.next_public_address());
-  net.connect(origin_host, origin_host.address(), core, net::IpAddr{},
-              net::LinkParams{1 * kGbps, 20 * kMillisecond});
-  net::Host& peer_host = net.add_host("peer", net.next_public_address());
-  net.connect(peer_host, peer_host.address(), core, net::IpAddr{},
-              net::LinkParams{20 * kMbps, 5 * kMillisecond});
-  std::vector<net::Host*> client_hosts;
-  for (int i = 0; i <= kClients; ++i) {  // [0] warms the cache
-    client_hosts.push_back(&net.add_host("client-" + std::to_string(i),
-                                         net.next_public_address()));
-    net.connect(*client_hosts.back(), client_hosts.back()->address(), core,
-                net::IpAddr{}, net::LinkParams{1 * kGbps, 8 * kMillisecond});
-  }
-  net.auto_route();
-
-  transport::TransportMux mux_origin(origin_host);
-  nocdn::OriginConfig oconfig;
-  oconfig.provider = "nytimes";
-  nocdn::OriginServer origin(mux_origin, oconfig, util::Rng(seed ^ 99u));
-  const std::string url = "/news/hot.jpg";
-  origin.add_object({url, http::Body::synthetic(kObjectKb * 1024, 0xF1)});
-
-  transport::TransportMux mux_peer(peer_host);
-  nocdn::PeerProxy peer(mux_peer, 8080, util::Rng(seed ^ 1000u));
-  const std::uint64_t peer_id = origin.recruit_peer(peer.endpoint());
-  peer.signup({"nytimes", peer_id, {origin_host.address(), 80}});
-  overload::AdmissionConfig admission;
-  admission.rate = 10.0;
-  admission.burst = 4.0;
-  peer.enable_admission(admission);
-
-  struct ClientSlot {
-    std::unique_ptr<transport::TransportMux> mux;
-    std::unique_ptr<http::HttpClient> http;
-  };
-  std::vector<ClientSlot> clients(client_hosts.size());
-  overload::BreakerConfig bconfig;
-  bconfig.window = 8;
-  bconfig.min_samples = 4;
-  bconfig.open_for = 2 * kSecond;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    clients[i].mux =
-        std::make_unique<transport::TransportMux>(*client_hosts[i]);
-    clients[i].http = std::make_unique<http::HttpClient>(
-        *clients[i].mux, util::Rng(seed * 7919u + i));
-    clients[i].http->enable_breakers(bconfig);
-  }
-
-  http::FetchOptions options;
-  options.timeout = 1500 * kMillisecond;
-  options.retry =
-      util::RetryPolicy{2, 400 * kMillisecond, 2.0, 0.3, 2 * kSecond, 0};
-  options.retry_on_overload = true;
-
-  const net::Endpoint peer_ep = peer.endpoint();
-  auto get_hot = [&](std::size_t c, auto&& done) {
-    http::Request req;
-    req.path = url;
-    req.headers.set("Host", "nytimes");
-    clients[c].http->fetch(peer_ep, std::move(req),
-                           std::forward<decltype(done)>(done), options);
-  };
-
-  bool warmed = false;
-  get_hot(0, [&](util::Result<http::Response> r) {
-    warmed = r.ok() && r.value().status == 200;
-  });
-  sim.run_until(kSecond);
-
-  int issued = 0, ok = 0;
-  std::uint64_t goodput = 0;
-  std::vector<double> latencies;
-  const util::Duration stagger = kIssueEvery / kClients;
-  for (int c = 1; c <= kClients; ++c) {
-    // Each tick schedules a copy of itself: no closure owns itself.
-    const auto tick = [&, c](const auto& self) -> void {
-      if (sim.now() >= kHorizon) return;
-      const util::TimePoint issued_at = sim.now();
-      if (issued_at >= kWarmup) ++issued;
-      get_hot(static_cast<std::size_t>(c),
-              [&, issued_at](util::Result<http::Response> r) {
-                if (!r.ok() || r.value().status != 200) return;
-                const util::TimePoint done_at = sim.now();
-                if (issued_at < kWarmup || done_at > kHorizon) return;
-                ++ok;
-                goodput += r.value().body.size();
-                latencies.push_back(
-                    static_cast<double>(done_at - issued_at) / kSecond);
-              });
-      sim.schedule(kIssueEvery, [self] { self(self); });
-    };
-    sim.schedule(kSecond + c * stagger, [tick] { tick(tick); });
-  }
-  sim.run_until(kHorizon + 5 * kSecond);
-
-  const std::uint64_t sheds =
-      peer.admission() ? peer.admission()->total_shed() : 0;
-  std::sort(latencies.begin(), latencies.end());
-  auto pct = [&](double q) {
-    if (latencies.empty()) return 0.0;
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(latencies.size() - 1) + 0.5);
-    return latencies[std::min(rank, latencies.size() - 1)];
-  };
-
+  const StampedeResult r = run_stampede({.net_seed = seed,
+                                         .origin_seed = seed ^ 99u,
+                                         .peer_seed = seed ^ 1000u,
+                                         .client_seed = seed * 7919u,
+                                         .clients = 8,
+                                         .issue_every = 250 * kMillisecond,
+                                         .warmup = 3 * kSecond,
+                                         .horizon = 12 * kSecond,
+                                         .object_kb = 100,
+                                         .peer_uplink = 20 * kMbps});
   char line[192];
   std::snprintf(line, sizeof line,
                 "flash seed=%llu warmed=%d ok=%d/%d goodput=%llu sheds=%llu "
                 "p50_s=%.6f p99_s=%.6f",
-                static_cast<unsigned long long>(seed), warmed ? 1 : 0, ok,
-                issued, static_cast<unsigned long long>(goodput),
-                static_cast<unsigned long long>(sheds), pct(0.50), pct(0.99));
+                static_cast<unsigned long long>(seed), r.warmed ? 1 : 0, r.ok,
+                r.issued, static_cast<unsigned long long>(r.goodput_bytes),
+                static_cast<unsigned long long>(r.sheds), r.percentile(0.50),
+                r.percentile(0.99));
   return line;
 }
 
@@ -224,99 +70,50 @@ std::string run_flash_crowd(std::uint64_t seed) {
 std::string run_rampup(std::uint64_t seed) {
   // The seed picks the RTT (the interesting axis) plus the loss RNG stream.
   const double rtt_ms = 10.0 + 10.0 * static_cast<double>(seed % 8);
-  const util::BitRate rate = 1 * kGbps;
-  const util::Duration rtt = util::milliseconds(rtt_ms);
-
-  sim::Simulator sim;
-  net::Network net(sim, util::Rng(seed));
-  const net::PathParams params{rate, rtt / 4, 0.0,
-                               static_cast<std::size_t>(64) << 20};
-  auto path = net::make_two_host_path(net, params, params);
-  transport::TransportMux mux_a(*path.a), mux_b(*path.b);
-  auto listener = mux_b.tcp_listen(80);
-  std::uint64_t received = 0;
-  listener->set_on_accept([&](std::shared_ptr<transport::TcpConnection> c) {
-    c->set_on_bytes([&](std::size_t n) { received += n; });
-  });
-  auto client = mux_a.tcp_connect({path.b->address(), 80});
-  util::TimePoint established = 0;
-  client->set_on_established([&] {
-    established = sim.now();
-    client->send_bytes(1u << 30);
-  });
-  while (established == 0 && !sim.empty()) sim.run(1);
-
-  int rtts_to_saturation = -1;
-  std::uint64_t bytes_at_saturation = 0;
-  std::uint64_t prev = 0;
-  for (int w = 1; w <= 40; ++w) {
-    sim.run_until(established + w * rtt);
-    const std::uint64_t in_window = received - prev;
-    prev = received;
-    const double window_rate =
-        static_cast<double>(in_window) * 8 / util::to_seconds(rtt);
-    if (window_rate >= 0.9 * static_cast<double>(rate)) {
-      rtts_to_saturation = w;
-      bytes_at_saturation = received;
-      break;
-    }
-  }
-
+  const RampResult r =
+      measure_ramp({.seed = seed, .rtt = util::milliseconds(rtt_ms)});
   char line[160];
   std::snprintf(line, sizeof line,
                 "rampup seed=%llu rtt_ms=%.0f rtts_to_90pct=%d "
                 "bytes_at_90pct=%llu",
                 static_cast<unsigned long long>(seed), rtt_ms,
-                rtts_to_saturation,
-                static_cast<unsigned long long>(bytes_at_saturation));
+                r.rtts_to_saturation,
+                static_cast<unsigned long long>(r.bytes_at_saturation));
   return line;
 }
 
 // ------------------- metro: a small diurnal metro day with crowd + outage
 
+/// The sweeper's metro: 48 jittered homes on 6 DSLAMs under 2 PoPs, a
+/// 20-second day.
+metro::ServiceDayParams small_day(std::uint64_t seed) {
+  metro::ServiceDayParams p;
+  p.seed = seed;
+  p.topology.homes = 48;
+  p.topology.homes_per_dslam = 8;
+  p.topology.dslams_per_pop = 3;
+  p.topology.access_rate_jitter = 0.1;
+  p.catalog_objects = 64;
+  p.base_rate_per_home = 0.5;
+  p.driver.peers = 4;
+  p.driver.attic_pairs = 2;
+  p.driver.attic_interval = 4 * kSecond;
+  p.driver.horizon = 20 * kSecond;
+  return p;
+}
+
 std::string run_metro(std::uint64_t seed) {
-  constexpr util::Duration kDayLength = 20 * kSecond;  // compressed day
-  const util::TimePoint horizon = kDayLength;
-
-  sim::Simulator sim;
-  net::Network net{sim, util::Rng(seed)};
-
-  metro::MetroParams params;
-  params.homes = 48;
-  params.homes_per_dslam = 8;
-  params.dslams_per_pop = 3;  // 6 DSLAMs, 2 PoPs
-  params.access_rate_jitter = 0.1;
-  util::Rng topo_rng(seed ^ 0x4d455452u);  // "METR"
-  metro::MetroTopology topo = metro::build_metro(net, params, topo_rng);
-
-  metro::ZipfCatalog catalog(64, 0.9);
-  util::Rng plan_rng(seed ^ 0x504c414eu);  // "PLAN"
-  metro::EventPlan plan = metro::EventPlan::generate(
-      topo, catalog, horizon, /*flash_crowds=*/1, /*outages=*/1, plan_rng);
-  metro::WorkloadModel model(metro::DiurnalCurve::residential(kDayLength),
-                             catalog, plan, /*base_rate_per_home=*/0.5);
-
-  metro::MetroDriverConfig dconfig;
-  dconfig.active_homes = 32;
-  dconfig.peers = 4;
-  dconfig.attic_pairs = 2;
-  dconfig.attic_interval = 4 * kSecond;
-  dconfig.horizon = horizon;
-  metro::MetroDriver driver(topo, model, dconfig, util::Rng(seed ^ 0xd1ce5u));
-  driver.start();
-
-  fault::ChaosController chaos(sim, util::Rng(seed ^ 0xfa017u));
-  chaos.execute(plan.to_fault_plan(topo));
-
-  sim.run_until(horizon + 10 * kSecond);
-
+  metro::ServiceDayParams p = small_day(seed);
+  p.driver.active_homes = 32;
+  p.outages = 1;
+  const metro::ServiceDayResult r = metro::run_service_day(p);
   char line[320];
   std::snprintf(line, sizeof line,
                 "metro seed=%llu fp=%016llx crowds=%zu outages=%zu %s",
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(topo.fingerprint()),
-                plan.flash_crowd_count(), plan.outage_count(),
-                driver.report().c_str());
+                static_cast<unsigned long long>(r.topology_fp),
+                r.plan.flash_crowd_count(), r.plan.outage_count(),
+                r.report.c_str());
   return line;
 }
 
@@ -384,67 +181,21 @@ std::string run_durable(std::uint64_t seed) {
 // ---- directory: sharded HPoP directory through shard crash + partition
 
 std::string run_directory(std::uint64_t seed) {
-  constexpr util::Duration kDayLength = 20 * kSecond;
-  const util::TimePoint horizon = kDayLength;
-
-  sim::Simulator sim;
-  net::Network net{sim, util::Rng(seed)};
-
-  metro::MetroParams params;
-  params.homes = 48;
-  params.homes_per_dslam = 8;
-  params.dslams_per_pop = 3;
-  params.access_rate_jitter = 0.1;
-  util::Rng topo_rng(seed ^ 0x4d455452u);
-  metro::MetroTopology topo = metro::build_metro(net, params, topo_rng);
-
-  metro::ZipfCatalog catalog(64, 0.9);
-  util::Rng plan_rng(seed ^ 0x504c414eu);
-  // One flash crowd, no uplink outage (lookups need a live edge), one
-  // access-subtree partition — the new correlated-failure mode.
-  metro::EventPlan plan =
-      metro::EventPlan::generate(topo, catalog, horizon, /*flash_crowds=*/1,
-                                 /*outages=*/0, plan_rng, /*partitions=*/1);
-  metro::WorkloadModel model(metro::DiurnalCurve::residential(kDayLength),
-                             catalog, plan, /*base_rate_per_home=*/0.5);
-
-  metro::MetroDriverConfig dconfig;
-  dconfig.active_homes = 24;
-  dconfig.peers = 4;
-  dconfig.attic_pairs = 2;
-  dconfig.attic_interval = 4 * kSecond;
-  dconfig.horizon = horizon;
-  dconfig.dir_shards = 3;
-  dconfig.dir_replication = 2;
-  dconfig.dir_lease = 6 * kSecond;
-  dconfig.dir_anti_entropy = 2 * kSecond;
-  dconfig.dir_registered_homes = 24;
-  dconfig.dir_silent_homes = 4;
-  dconfig.dir_silent_lease_s = 2;
-  dconfig.dir_warmup = 3 * kSecond;
-  metro::MetroDriver driver(topo, model, dconfig, util::Rng(seed ^ 0xd1ce5u));
-  driver.start();
-
-  fault::ChaosController chaos(sim, util::Rng(seed ^ 0xfa017u));
-  core::DirectoryCluster* cluster = driver.directory();
-  cluster->register_with_chaos(chaos);
-  chaos.execute(plan.to_fault_plan(topo));
-  // Kill one shard mid-day: the WAL brings it back, anti-entropy and the
-  // ongoing renewals close the gap it slept through.
-  chaos.crash_at(cluster->host(seed % dconfig.dir_shards).name(),
-                 8 * kSecond, 4 * kSecond);
-
-  sim.run_until(horizon + 10 * kSecond);
-
-  std::size_t acked = 0, resolved = 0;
-  const auto& regs = driver.dir_registrations();
-  for (std::size_t i = 0; i < driver.dir_renewing(); ++i) {
-    if (!regs[i]->acked()) continue;
-    ++acked;
-    if (cluster->resolves(regs[i]->household())) ++resolved;
-  }
-  const auto sync = cluster->sync_totals();
-
+  // No uplink outage (lookups need a live edge) but one access-subtree
+  // partition, and one shard killed mid-day: the WAL brings it back, and
+  // anti-entropy and the renewals close the gap it slept through.
+  metro::ServiceDayParams p = small_day(seed);
+  p.driver.active_homes = 24;
+  p.driver.dir_shards = 3;
+  p.driver.dir_lease = 6 * kSecond;
+  p.driver.dir_registered_homes = 24;
+  p.driver.dir_silent_homes = 4;
+  p.driver.dir_silent_lease_s = 2;
+  p.driver.dir_warmup = 3 * kSecond;
+  p.partitions = 1;
+  p.crash = metro::ShardWindow{static_cast<std::uint32_t>(seed % 3),
+                               8 * kSecond, 4 * kSecond};
+  const metro::ServiceDayResult r = metro::run_service_day(p);
   char line[448];
   std::snprintf(
       line, sizeof line,
@@ -452,13 +203,13 @@ std::string run_directory(std::uint64_t seed) {
       "cut_drops=%llu ae_rounds=%llu sync_applied=%llu acked=%zu "
       "resolved=%zu %s",
       static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(cluster->fingerprint()),
-      static_cast<unsigned long long>(chaos.stats().partitions),
-      static_cast<unsigned long long>(chaos.stats().partition_heals),
-      static_cast<unsigned long long>(chaos.stats().partition_drops),
-      static_cast<unsigned long long>(sync.rounds),
-      static_cast<unsigned long long>(sync.entries_applied), acked, resolved,
-      driver.report().c_str());
+      static_cast<unsigned long long>(r.cluster_fp),
+      static_cast<unsigned long long>(r.chaos.partitions),
+      static_cast<unsigned long long>(r.chaos.partition_heals),
+      static_cast<unsigned long long>(r.chaos.partition_drops),
+      static_cast<unsigned long long>(r.sync.rounds),
+      static_cast<unsigned long long>(r.sync.entries_applied), r.acked,
+      r.resolved, r.report.c_str());
   return line;
 }
 
@@ -552,14 +303,9 @@ const char* to_string(Scenario s) {
 }
 
 std::optional<Scenario> scenario_from_string(std::string_view name) {
-  if (name == "chaos") return Scenario::kChaos;
-  if (name == "flash") return Scenario::kFlashCrowd;
-  if (name == "rampup") return Scenario::kRampup;
-  if (name == "metro") return Scenario::kMetro;
-  if (name == "durable") return Scenario::kDurable;
-  if (name == "directory") return Scenario::kDirectory;
-  if (name == "psim") return Scenario::kPsim;
-  if (name == "psim_tcp") return Scenario::kPsimTcp;
+  for (const Scenario s : kScenarios) {
+    if (name == to_string(s)) return s;
+  }
   return std::nullopt;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -13,6 +14,9 @@ namespace hpop::sweep {
 /// Reports are built only from per-object state (client stats, received
 /// bytes, admission counters) — never from the telemetry registry, which
 /// is thread-local and accumulates across every seed a worker thread runs.
+/// The chaos, flash, rampup, metro and directory scenarios run the worlds
+/// their benches report on (sweep/worlds.hpp, metro::run_service_day),
+/// with params derived from the seed.
 enum class Scenario {
   kChaos,       // HTTP fetches with retries through a flapping link
   kFlashCrowd,  // open-loop crowd vs one admission-controlled NoCDN peer
@@ -22,6 +26,14 @@ enum class Scenario {
   kDirectory,   // sharded directory day: shard crash + subtree partition
   kPsim,        // sharded parallel metro day (2 workers), chaos in shards
   kPsimTcp,     // same day over TCP/MPTCP: segments cross shard cuts
+};
+
+/// Every scenario, in declaration order: the one list the parser, the
+/// sweeper's usage text and the tests iterate.
+inline constexpr std::array kScenarios = {
+    Scenario::kChaos,   Scenario::kFlashCrowd, Scenario::kRampup,
+    Scenario::kMetro,   Scenario::kDurable,    Scenario::kDirectory,
+    Scenario::kPsim,    Scenario::kPsimTcp,
 };
 
 const char* to_string(Scenario s);

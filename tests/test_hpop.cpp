@@ -335,6 +335,30 @@ TEST(Directory, ConnectFailsWhenHpopWentDownAfterRegistering) {
   EXPECT_EQ(landing, "");
 }
 
+TEST(Directory, UnansweredRendezvousDoNotPileUp) {
+  // Each connect to a dead HPoP files a waiter nobody will answer. Its
+  // requester gives up at attempt_timeout and aborts, and the directory
+  // drops such waiters before filing the next one.
+  HpopWorld w(punch_nat());
+  w.hpop->boot();
+  w.sim.run_until(30 * kSecond);
+  ASSERT_EQ(w.directory->registered(), 1u);
+  w.home.hosts[0]->set_up(false);
+
+  DirectoryClient client = w.client(*w.mux_device);
+  std::vector<std::string> errors;
+  for (int i = 0; i < 20; ++i) {
+    client.connect(
+        "smith-family",
+        [&](util::Result<std::shared_ptr<transport::TcpConnection>> r) {
+          errors.push_back(r.ok() ? "connected" : r.error().code);
+        });
+    w.sim.run_until(w.sim.now() + 10 * kSecond);
+  }
+  EXPECT_EQ(errors, std::vector<std::string>(20, "rendezvous_failed"));
+  EXPECT_LE(w.directory->rendezvous_pending(), 1u);
+}
+
 // -------------------------------------------- Leases + WAL recovery
 
 TEST(DirectoryWire, SizesAccountForCarriedAdvertisement) {

@@ -10,11 +10,7 @@ namespace hpop {
 namespace {
 
 TEST(Sweep, ScenarioNamesRoundTrip) {
-  for (sweep::Scenario s : {sweep::Scenario::kChaos,
-                            sweep::Scenario::kFlashCrowd,
-                            sweep::Scenario::kRampup,
-                            sweep::Scenario::kPsim,
-                            sweep::Scenario::kPsimTcp}) {
+  for (const sweep::Scenario s : sweep::kScenarios) {
     const auto parsed = sweep::scenario_from_string(sweep::to_string(s));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, s);
